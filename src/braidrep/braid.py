@@ -49,9 +49,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def apply0(self, i: int) -> int:
-        return self.images[i]
-
     def __call__(self, i: int) -> int:
         """Image of a 1-based label."""
         return self.images[i - 1] + 1

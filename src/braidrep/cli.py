@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 precondition/validation failure, 3 internal
 mathematical invariant failure (a bug; the JSON error carries a minimal
-reproducer).  Output is deterministic: keys are sorted, seeds are explicit,
-and sweep rows are emitted in sorted job order regardless of execution
-order.
+reproducer).  Output is deterministic: keys are sorted and sweep rows are
+emitted in sorted job order.  ``--seed`` is accepted but reserved; no
+command reads it.
 
 Usage sketch:
     braidrep verify --n 3 --word "A 1 3"
@@ -18,7 +18,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd as _int_gcd
 
 from . import hermitian, spectral, topology
@@ -43,7 +43,6 @@ class JobConfig:
     seed: int = 0
     out: str | None = None
     cap: int = 6
-    extra: dict = field(default_factory=dict)
 
 
 def _dump(doc) -> str:
@@ -287,15 +286,21 @@ def _parse_k(text: str) -> tuple:
 
 def _read_config_file(path: str) -> dict:
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"config line without '=': '{line}'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read --config '{path}': {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ValidationError(f"--config '{path}' is not UTF-8 text")
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"config line without '=': '{line}'")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -318,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="braid word: tokens s<i>, s<i>^<p>, 'A r s', 'T a b'")
         p.add_argument("--basis", type=str, default="reduced",
                        choices=("reduced", "unreduced"))
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="reserved: accepted, read by no command")
         p.add_argument("--out", type=str, default=None,
                        help="write output to this path instead of stdout")
         p.add_argument("--cap", type=int, default=6,
@@ -345,7 +351,11 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
             if values.get(key) not in (None, defaults.get(key)):
                 continue
             if key in ("n", "d", "f", "seed", "cap"):
-                values[key] = int(raw)
+                try:
+                    values[key] = int(raw)
+                except ValueError:
+                    raise ValidationError(
+                        f"config key '{key}' expects an integer, got '{raw}'")
             else:
                 values[key] = raw
     if isinstance(values.get("k"), str):
@@ -363,8 +373,14 @@ def main(argv=None) -> int:
         return 2
     code, text = run(config)
     if code == 0 and config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(_dump({
+                "error": f"cannot write --out '{config.out}': {exc.strerror}",
+                "kind": "validation"}))
+            return 2
     elif code == 0:
         sys.stdout.write(text)
     else:

@@ -452,6 +452,19 @@ def check_weights(d: int, k: tuple):
                 f"weight {ki} is not coprime to the order {d}")
 
 
+def check_spec_weights(d: int, k: tuple):
+    """Validate the weights of a cover spec: d >= 2, at least two weights,
+    each in 1..d-1 and coprime to d (checked weight by weight)."""
+    if d < 2:
+        raise ValidationError("cover order d must be >= 2")
+    if len(k) < 2:
+        raise ValidationError("need at least 2 weights (n >= 1)")
+    for ki in k:
+        if not 1 <= ki <= d - 1:
+            raise ValidationError(f"weight {ki} outside 1..{d - 1}")
+        check_weights(d, (ki,))
+
+
 def specialize_poly(a, d: int, k: tuple) -> CycloNum:
     """Ring homomorphism Xi -> omega_d^{k_i} into Q(omega_d).
 

@@ -142,13 +142,6 @@ def reduced_generator(i: int, strands: int) -> TwistedMap:
     return _generator(strands, i, "reduced")
 
 
-def unreduced_generator(i: int, strands: int) -> TwistedMap:
-    """The crossed-homomorphism value of s_i on the e-basis ((n+1) x (n+1))."""
-    if not 1 <= i <= strands - 1:
-        raise ValidationError(f"generator index {i} out of range 1..{strands - 1}")
-    return _generator(strands, i, "unreduced")
-
-
 def evaluate_word(w: BraidWord, basis: str = "reduced") -> TwistedMap:
     """Fold the generator maps of a word under the twisted composition rule.
 

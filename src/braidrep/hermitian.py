@@ -26,7 +26,7 @@ import numpy as _np
 
 from . import linalg
 from .braid import BraidWord
-from .cyclo import check_weights, specialize_poly
+from .cyclo import check_spec_weights, specialize_poly
 from .errors import InvariantError, ValidationError
 from .gassner import assert_polynomial_entries, evaluate_word
 from .laurent import LaurentPoly, RationalFunction
@@ -137,7 +137,7 @@ def specialize_form(d: int, k: tuple) -> tuple:
     unity (1 <= k_i <= d-1 coprime to d).
     """
     k = tuple(k)
-    _check_spec_weights(d, k)
+    check_spec_weights(d, k)
     h = form_matrix(len(k))
     return tuple(tuple(specialize_poly(x, d, k) for x in row) for row in h)
 
@@ -149,19 +149,8 @@ def is_degenerate(d: int, k: tuple) -> bool:
     specialized reduced representation acquires an invariant vector.
     """
     k = tuple(k)
-    _check_spec_weights(d, k)
+    check_spec_weights(d, k)
     return sum(k) % d == 0
-
-
-def _check_spec_weights(d: int, k: tuple):
-    if d < 2:
-        raise ValidationError("order d must be >= 2")
-    if len(k) < 2:
-        raise ValidationError("need at least 2 weights (n >= 1)")
-    for ki in k:
-        if not 1 <= ki <= d - 1:
-            raise ValidationError(f"weight {ki} outside 1..{d - 1}")
-    check_weights(d, k)
 
 
 _ZERO_EIGENVALUE_TOL = 1e-6
@@ -177,7 +166,7 @@ def signature(d: int, k: tuple, f: int) -> tuple:
     conditioning problem and is an error, never a sign.
     """
     k = tuple(k)
-    _check_spec_weights(d, k)
+    check_spec_weights(d, k)
     if _int_gcd(f, d) != 1:
         raise ValidationError(f"embedding index {f} not coprime to {d}")
     if (sum(k) * f) % d == 0:

@@ -79,9 +79,6 @@ class LaurentPoly:
         zero = (0,) * self.nvars
         return len(self.terms) == 1 and zero in self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def is_unit(self) -> bool:
         """Units of the Laurent ring are +-(monomial)."""
         if len(self.terms) != 1:

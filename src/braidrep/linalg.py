@@ -12,10 +12,6 @@ from __future__ import annotations
 from .errors import InvariantError
 
 
-def mat_from_rows(rows) -> tuple:
-    return tuple(tuple(r) for r in rows)
-
-
 def identity(n: int, one, zero) -> tuple:
     return tuple(tuple(one if i == j else zero for j in range(n))
                  for i in range(n))
@@ -47,22 +43,9 @@ def mat_vec(a: tuple, v: tuple) -> tuple:
     return tuple(out)
 
 
-def mat_add(a: tuple, b: tuple) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
 def mat_sub(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(x - y for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
-
-
-def mat_neg(a: tuple) -> tuple:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(c, a: tuple) -> tuple:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def transpose(a: tuple) -> tuple:
@@ -73,10 +56,6 @@ def mat_eq(a: tuple, b: tuple) -> bool:
     if len(a) != len(b):
         return False
     return all(ra == rb for ra, rb in zip(a, b))
-
-
-def mat_map(f, a: tuple) -> tuple:
-    return tuple(tuple(f(x) for x in row) for row in a)
 
 
 def is_identity(a: tuple) -> bool:

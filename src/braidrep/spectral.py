@@ -5,16 +5,16 @@ count (they do not depend on the weights), so specializing a representation
 is one cheap monomial-evaluation pass.  The heavy predicate here is the
 span-closure irreducibility test; it exploits that the reflection generators
 s_i^2 differ from the identity in a single row, so left products touch one
-matrix row and the elimination stays sparse.
+matrix row and the elimination stays sparse.  In the degenerate case the
+unipotent commutator is built once per call, and its flag unipotency is
+proved from the pure generators rather than sampled over conjugates.
 """
 
 from __future__ import annotations
 
-import random
-
 from . import linalg
 from .braid import full_twist, pure_generator
-from .cyclo import CycloNum, specialize_poly
+from .cyclo import CycloNum, check_spec_weights, specialize_poly
 from .errors import InvariantError, ValidationError
 from .gassner import (
     assert_polynomial_entries,
@@ -22,7 +22,6 @@ from .gassner import (
     evaluate_word,
     scalar_matrix_check,
 )
-from .hermitian import _check_spec_weights
 
 
 # -- symbolic caches (depend on the strand count only) -----------------------
@@ -134,7 +133,7 @@ class SpecializedRep:
 
 def specialize_rep(d: int, k: tuple) -> SpecializedRep:
     k = tuple(k)
-    _check_spec_weights(d, k)
+    check_spec_weights(d, k)
     strands = len(k)
     sym = _symbolic_pure_matrices(strands)
     mats = {key: specialize_matrix(m, d, k) for key, m in sym.items()}
@@ -152,7 +151,7 @@ def pigeonhole_blocks(d: int, k: tuple):
     inclusive 1-based intervals.
     """
     k = tuple(k)
-    _check_spec_weights(d, k)
+    check_spec_weights(d, k)
     n = len(k) - 1
     if n < 2 * d:
         raise ValidationError(
@@ -212,35 +211,58 @@ def _assert_subtwist_scalar(m2: tuple, rep: SpecializedRep, p: int):
     return c
 
 
-def unipotent_commutator(d: int, k: tuple) -> tuple:
-    """u = [s_1^2, Delta'^2] on the p-strand specialization, p = len(k).
+def _commutator(rep: SpecializedRep, p: int) -> tuple:
+    """u = [s_1^2, Delta'^2] on rep, with Delta' the full twist on strands
+    2..p (p <= rep.strands)."""
+    delta2 = full_twist(2, p, rep.strands) ** 2
+    m2 = specialize_matrix(
+        _symbolic_word_matrix(("subtwist2", rep.strands, p), delta2),
+        rep.d, rep.k)
+    _assert_subtwist_scalar(m2, rep, p)
+    m1 = rep.matrix(1, 2)
+    return linalg.mat_mul(
+        linalg.mat_mul(m1, m2),
+        linalg.mat_mul(rep.matrix_inverse(1, 2), linalg.mat_inverse(m2)))
 
-    Preconditions: p >= 3, weights coprime to d, and d | sum(k) so the
-    representation is degenerate.  The result is checked to be a nontrivial
-    unipotent: u != 1 and (u - 1)^2 = 0 exactly; failures of those checks are
-    bugs, not bad input.
-    """
+
+def _adapted_basis(rep: SpecializedRep) -> tuple:
+    """(c, c^-1), where the columns of c are (w, eps_2, ..., eps_n) and
+    w = rep.invariant_coords(); c is invertible since w_1 = 1 - t_1 != 0."""
+    n = rep.dim
+    one = CycloNum.one(rep.d)
+    zero = CycloNum.zero(rep.d)
+    w = rep.invariant_coords()
+    c = tuple(tuple(w[a] if j == 0 else (one if a == j else zero)
+                    for j in range(n)) for a in range(n))
+    return c, linalg.mat_inverse(c)
+
+
+def _in_basis(m: tuple, basis: tuple) -> tuple:
+    c, cinv = basis
+    return linalg.mat_mul(cinv, linalg.mat_mul(m, c))
+
+
+def _check_degenerate_block(d: int, k: tuple, p: int):
+    """Validate a degenerate block: p >= 3 strands whose weights k_1..k_p
+    sum to 0 mod d."""
+    if p < 3:
+        raise ValidationError(f"need p >= 3 strands for the commutator, got p={p}")
+    check_spec_weights(d, k)
+    if sum(k[:p]) % d != 0:
+        raise ValidationError(
+            f"need d | sum of the first {p} weights (degenerate block), "
+            f"got {sum(k[:p])} mod {d}")
+
+
+def _checked_commutator(d: int, k: tuple) -> tuple:
+    """(rep, u) for unipotent_commutator; raises InvariantError unless u is
+    a nontrivial 2-step unipotent."""
     k = tuple(k)
     p = len(k)
-    if p < 3:
-        raise ValidationError(f"need p >= 3 strands for the commutator, got {p}")
-    _check_spec_weights(d, k)
-    if sum(k) % d != 0:
-        raise ValidationError(
-            f"need d | sum(k) (degenerate block), got sum={sum(k)} mod {d}")
+    _check_degenerate_block(d, k, p)
     rep = specialize_rep(d, k)
-    m1 = rep.matrix(1, 2)
-    delta2 = full_twist(2, p, p) ** 2
-    m2 = specialize_matrix(
-        _symbolic_word_matrix(("subtwist2", p), delta2), d, k)
-    _assert_subtwist_scalar(m2, rep, p)
-    u = linalg.mat_mul(
-        linalg.mat_mul(m1, m2),
-        linalg.mat_mul(linalg.mat_inverse(m1), linalg.mat_inverse(m2)))
-    n = p - 1
-    one = CycloNum.one(d)
-    zero = CycloNum.zero(d)
-    ident = linalg.identity(n, one, zero)
+    u = _commutator(rep, p)
+    ident = linalg.identity(p - 1, CycloNum.one(d), CycloNum.zero(d))
     if linalg.mat_eq(u, ident):
         raise InvariantError(
             "commutator is the identity; no unipotent produced",
@@ -250,104 +272,72 @@ def unipotent_commutator(d: int, k: tuple) -> tuple:
         raise InvariantError(
             "(u - 1)^2 != 0: commutator is not 2-step unipotent",
             reproducer={"op": "unipotent_commutator", "d": d, "k": list(k)})
-    return u
+    return rep, u
+
+
+def unipotent_commutator(d: int, k: tuple) -> tuple:
+    """u = [s_1^2, Delta'^2] on the p-strand specialization, p = len(k).
+
+    Preconditions: p >= 3, weights coprime to d, and d | sum(k) so the
+    representation is degenerate.  The result is checked to be a nontrivial
+    unipotent: u != 1 and (u - 1)^2 = 0 exactly; failures of those checks are
+    bugs, not bad input.
+    """
+    return _checked_commutator(d, k)[1]
 
 
 def commutator_in_w_basis(d: int, k: tuple) -> tuple:
     """The commutator written in the basis (w, eps_2, ..., eps_{p-1})."""
-    u = unipotent_commutator(d, k)
-    rep = specialize_rep(d, k)
-    n = rep.dim
-    one = CycloNum.one(d)
-    zero = CycloNum.zero(d)
-    w = rep.invariant_coords()
-    cols = [w] + [tuple(one if a == j else zero for a in range(n))
-                  for j in range(1, n)]
-    c = tuple(tuple(cols[j][a] for j in range(n)) for a in range(n))
-    return linalg.mat_mul(linalg.mat_inverse(c),
-                          linalg.mat_mul(u, c))
+    rep, u = _checked_commutator(d, k)
+    return _in_basis(u, _adapted_basis(rep))
 
 
-def flag_unipotency_check(d: int, k: tuple, seed: int = 0,
-                          samples: int = 20, max_word: int = 10) -> bool:
-    """Unipotency of the commutator and its conjugates on the standard flag.
+def _in_flag_stabilizer(b: tuple, unipotent: bool) -> bool:
+    """Whether b, written in the adapted basis, lies in the stabilizer P(F)
+    of the flag  span(w) < span(w, eps_2..eps_{n-1}) < everything, i.e. is
+    block upper triangular for the index blocks {0}, {1..n-2}, {n-1}; with
+    ``unipotent``, whether it lies in U(F), i.e. also has identity diagonal
+    blocks."""
+    last = len(b) - 1
+
+    def block(i: int) -> int:
+        return 0 if i == 0 else (2 if i == last else 1)
+
+    for i, row in enumerate(b):
+        for j, x in enumerate(row):
+            if block(i) > block(j) or (unipotent and block(i) == block(j)):
+                if not (x.is_one() if i == j else x.is_zero()):
+                    return False
+    return True
+
+
+def flag_unipotency_check(d: int, k: tuple, seed: int = 0) -> bool:
+    """Unipotency of the commutator and all its conjugates on the standard
+    flag.
 
     Works with p+1 strands, p = len(k) - 1, where the first p weights sum to
-    0 mod d; the flag is  span(w)  inside  span(w, eps_2..eps_{p-1})  inside
-    everything, and each sampled conjugate (by words in the pure generators
-    of strands 2..p) must fix w, stabilize the middle space, and act as the
-    identity on the successive quotients.
+    0 mod d; the flag F is  span(w)  inside  span(w, eps_2..eps_{p-1})
+    inside everything.  The claim is that g u g^-1 lies in the unipotent
+    radical U(F) (it fixes w, stabilizes the middle space and acts as the
+    identity on the successive quotients) for every g in the pure braid
+    group of strands 2..p.  U(F) is the kernel of the action of the flag
+    stabilizer P(F) on the quotients, hence normal in P(F); so it suffices
+    that u is in U(F) and that each generator A_rs, 2 <= r < s <= p, is in
+    P(F).  Both are checked exactly, which proves the claim for every
+    conjugate.
+
+    The check is deterministic; ``seed`` is accepted for compatibility and
+    not read.
     """
     k = tuple(k)
     p = len(k) - 1
-    if p < 3:
-        raise ValidationError(f"need p >= 3 (got p={p})")
-    _check_spec_weights(d, k)
-    if sum(k[:p]) % d != 0:
-        raise ValidationError(
-            f"need d | sum of the first {p} weights, got {sum(k[:p])} mod {d}")
-    strands = p + 1
+    _check_degenerate_block(d, k, p)
     rep = specialize_rep(d, k)
-    n = rep.dim  # = p
-    one = CycloNum.one(d)
-    zero = CycloNum.zero(d)
-
-    m1 = rep.matrix(1, 2)
-    delta2 = full_twist(2, p, strands) ** 2
-    m2 = specialize_matrix(
-        _symbolic_word_matrix(("subtwist2", strands, p), delta2), d, k)
-    _assert_subtwist_scalar(m2, rep, p)
-    u = linalg.mat_mul(
-        linalg.mat_mul(m1, m2),
-        linalg.mat_mul(linalg.mat_inverse(m1), linalg.mat_inverse(m2)))
-
-    # adapted basis (w, eps_2, ..., eps_{p-1}, eps_p)
-    w = rep.invariant_coords()
-    cols = [w]
-    for j in range(1, p - 1):
-        cols.append(tuple(one if a == j else zero for a in range(n)))
-    cols.append(tuple(one if a == p - 1 else zero for a in range(n)))
-    c = tuple(tuple(cols[j][a] for j in range(n)) for a in range(n))
-    cinv = linalg.mat_inverse(c)
-
-    def block_unipotent(m: tuple) -> bool:
-        b = linalg.mat_mul(cinv, linalg.mat_mul(m, c))
-        if not b[0][0].is_one():
-            return False
-        for i in range(1, n):
-            if not b[i][0].is_zero():
-                return False
-        for i in range(1, n - 1):
-            for j in range(1, n - 1):
-                if i == j:
-                    if not b[i][j].is_one():
-                        return False
-                elif not b[i][j].is_zero():
-                    return False
-        for j in range(n - 1):
-            if not b[n - 1][j].is_zero():
-                return False
-        return b[n - 1][n - 1].is_one()
-
-    if not block_unipotent(u):
+    basis = _adapted_basis(rep)
+    if not _in_flag_stabilizer(_in_basis(_commutator(rep, p), basis), True):
         return False
-    gens = [(r, s) for r in range(2, p) for s in range(r + 1, p + 1)]
-    rng = random.Random(seed)
-    for _ in range(samples):
-        length = rng.randint(1, max_word)
-        picks = [gens[rng.randrange(len(gens))] for _ in range(length)]
-        m = None
-        for key in picks:
-            g = rep.matrix(*key)
-            m = g if m is None else linalg.mat_mul(m, g)
-        minv = None
-        for key in reversed(picks):
-            g = rep.matrix_inverse(*key)
-            minv = g if minv is None else linalg.mat_mul(minv, g)
-        conj = linalg.mat_mul(m, linalg.mat_mul(u, minv))
-        if not block_unipotent(conj):
-            return False
-    return True
+    return all(_in_flag_stabilizer(_in_basis(rep.matrix(r, s), basis), False)
+               for r in range(2, p) for s in range(r + 1, p + 1))
 
 
 # -- irreducibility by span closure ------------------------------------------
@@ -460,10 +450,6 @@ def fixed_vector_space_dim(rep: SpecializedRep) -> int:
     return len(linalg.kernel_basis(rows, one))
 
 
-def has_fixed_vector(rep: SpecializedRep) -> bool:
-    return fixed_vector_space_dim(rep) > 0
-
-
 def degeneracy_agreement(d: int, k: tuple) -> dict:
     """The three degeneracy predicates side by side (they agree for n >= 2).
 
@@ -494,7 +480,7 @@ def degeneracy_agreement(d: int, k: tuple) -> dict:
 def central_scalar_matches(d: int, k: tuple) -> bool:
     """rho(Delta^2) specialized equals (t_1...t_{n+1}) * identity."""
     k = tuple(k)
-    _check_spec_weights(d, k)
+    check_spec_weights(d, k)
     strands = len(k)
     word = delta_squared(strands)
     mat = specialize_matrix(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd as _int_gcd
 
-from .cyclo import specialize_poly
+from .cyclo import check_spec_weights, specialize_poly
 from .errors import InvariantError, ValidationError
 from .laurent import LaurentPoly
 
@@ -38,19 +38,12 @@ class CoverSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(self.k))
-        if self.d < 2:
-            raise ValidationError("cover order d must be >= 2")
         if self.n < 1:
             raise ValidationError("need n >= 1 (at least two branch points)")
         if len(self.k) != self.n + 1:
             raise ValidationError(
                 f"weight tuple has length {len(self.k)}, expected n+1 = {self.n + 1}")
-        for ki in self.k:
-            if not 1 <= ki <= self.d - 1:
-                raise ValidationError(f"weight {ki} outside 1..{self.d - 1}")
-            if _int_gcd(ki, self.d) != 1:
-                raise ValidationError(
-                    f"weight {ki} is not coprime to the order {self.d}")
+        check_spec_weights(self.d, self.k)
 
     @classmethod
     def from_dk(cls, d: int, k) -> CoverSpec:

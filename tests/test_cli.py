@@ -198,6 +198,15 @@ class TestExitCodes:
         doc = json.loads(target.read_text())
         assert doc["command"] == "form"
 
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        rc = main(["form", "--n", "1", "--out", str(target)])
+        assert rc == 2
+        doc = check_doc(capsys.readouterr().err)
+        assert doc["kind"] == "validation"
+        assert "--out" in doc["error"]
+        assert not target.exists()
+
     def test_invariant_failure_is_3(self, monkeypatch):
         # an internal identity failure must exit 3 with a reproducer attached
         from braidrep import cli
@@ -235,6 +244,27 @@ class TestConfigFile:
         cfg.write_text("bogus=1\n")
         with pytest.raises(Exception):
             run_cli(["dm", "--config", str(cfg)])
+
+    def test_non_integer_value_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("cap=abc\n")
+        rc = main(["sweep", "--d", "2", "--n", "1", "--config", str(cfg)])
+        assert rc == 2
+        doc = check_doc(capsys.readouterr().err)
+        assert doc["kind"] == "validation"
+        assert "cap" in doc["error"]
+
+    @pytest.mark.parametrize("content", [None, b"d=\xff\n"],
+                             ids=["missing", "not_utf8"])
+    def test_unreadable_file_is_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "job.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        rc = main(["form", "--n", "1", "--config", str(cfg)])
+        assert rc == 2
+        doc = check_doc(capsys.readouterr().err)
+        assert doc["kind"] == "validation"
+        assert "--config" in doc["error"]
 
 
 class TestDeterminism:

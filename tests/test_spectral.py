@@ -1,13 +1,16 @@
 """Specialized representations, pigeonhole blocks, unipotents, span closure."""
 
+import itertools
 import random
 from math import gcd
 
 import pytest
 
-from braidrep import linalg
-from braidrep.cyclo import CycloNum
+from braidrep import linalg, spectral
+from braidrep.braid import full_twist
+from braidrep.cyclo import CycloNum, specialize_poly
 from braidrep.errors import ValidationError
+from braidrep.gassner import evaluate_word
 from braidrep.hermitian import is_degenerate, specialize_form
 from braidrep.spectral import (
     all_unit_subintervals,
@@ -167,6 +170,113 @@ class TestFlagUnipotency:
     def test_deterministic_in_seed(self):
         assert flag_unipotency_check(3, (1, 1, 1, 2), seed=7) == \
             flag_unipotency_check(3, (1, 1, 1, 2), seed=7)
+
+    def test_generator_moving_w_fails(self, monkeypatch):
+        # replace A_23 by (1 + E_{n,1}) A_23: the image of w picks up
+        # w_1 eps_n with w_1 = 1 - t_1 != 0, so the w-line is not kept
+        d, k = 3, (1, 1, 1, 1)
+        assert flag_unipotency_check(d, k)
+        real = spectral.specialize_rep
+
+        def broken(d, k):
+            rep = real(d, k)
+            n = rep.dim
+            one, zero = CycloNum.one(d), CycloNum.zero(d)
+            shear = tuple(tuple(one if a == b or (a, b) == (n - 1, 0) else zero
+                                for b in range(n)) for a in range(n))
+            mats = dict(rep.generator_matrices)
+            mats[(2, 3)] = linalg.mat_mul(shear, mats[(2, 3)])
+            rep.generator_matrices = mats
+            return rep
+
+        monkeypatch.setattr(spectral, "specialize_rep", broken)
+        assert flag_unipotency_check(d, k) is False
+
+    def test_commutator_outside_radical_fails(self, monkeypatch):
+        # u' = c S c^-1 u with S = 1 + E_23 in the basis (w, eps_2, ...):
+        # u' still stabilizes the flag, but its middle block is not 1
+        d, k = 2, (1, 1, 1, 1, 1)
+        assert flag_unipotency_check(d, k)
+        real = spectral._commutator
+
+        def sheared(rep, p):
+            n = rep.dim
+            one, zero = CycloNum.one(d), CycloNum.zero(d)
+            c = _w_basis(rep.invariant_coords(), d)
+            s = tuple(tuple(one if a == b or (a, b) == (1, 2) else zero
+                            for b in range(n)) for a in range(n))
+            shear = linalg.mat_mul(c, linalg.mat_mul(s, linalg.mat_inverse(c)))
+            return linalg.mat_mul(shear, real(rep, p))
+
+        monkeypatch.setattr(spectral, "_commutator", sheared)
+        assert flag_unipotency_check(d, k) is False
+
+
+def _w_basis(w, d):
+    """The matrix with columns (w, eps_2, ..., eps_n)."""
+    n = len(w)
+    one, zero = CycloNum.one(d), CycloNum.zero(d)
+    return tuple(tuple(w[a] if j == 0 else (one if a == j else zero)
+                       for j in range(n)) for a in range(n))
+
+
+def _block_unipotent_oracle(m, w, d):
+    """m in the basis (w, eps_2, ..., eps_n) is block upper unipotent for the
+    index blocks {0}, {1..n-2}, {n-1}; computed without spectral's helpers."""
+    n = len(m)
+    one, zero = CycloNum.one(d), CycloNum.zero(d)
+    c = _w_basis(w, d)
+    b = linalg.mat_mul(linalg.mat_inverse(c), linalg.mat_mul(m, c))
+    lower = [(i, 0) for i in range(1, n)] + [(n - 1, j) for j in range(1, n - 1)]
+    diag = [(0, 0), (n - 1, n - 1)] + [(i, j) for i in range(1, n - 1)
+                                       for j in range(1, n - 1)]
+    return (all(b[i][j].is_zero() for i, j in lower)
+            and all(b[i][j] == (one if i == j else zero) for i, j in diag))
+
+
+class TestFlagUnipotencyOracle:
+    def test_random_conjugates_block_unipotent(self):
+        # seeded random pure words in A_rs (2 <= r < s <= p) and their
+        # inverses; the commutator comes from the symbolic full twist
+        rng = random.Random(11)
+        twists = {}
+        checked = 0
+        for d in (2, 3, 4):
+            units = coprime_units(d)
+            for p in (3, 4):
+                if p not in twists:
+                    word = full_twist(2, p, p + 1) ** 2
+                    twists[p] = evaluate_word(word, "reduced").matrix
+                for k in itertools.product(units, repeat=p):
+                    if sum(k) % d:
+                        continue
+                    kk = k + (rng.choice(units),)
+                    rep = specialize_rep(d, kk)
+                    m2 = tuple(tuple(specialize_poly(x, d, kk) for x in row)
+                               for row in twists[p])
+                    m1 = rep.matrix(1, 2)
+                    u = linalg.mat_mul(
+                        linalg.mat_mul(m1, m2),
+                        linalg.mat_mul(linalg.mat_inverse(m1),
+                                       linalg.mat_inverse(m2)))
+                    w = rep.invariant_coords()
+                    assert _block_unipotent_oracle(u, w, d), (d, kk)
+                    assert not _block_unipotent_oracle(m1, w, d), (d, kk)
+                    gens = [(r, s) for r in range(2, p)
+                            for s in range(r + 1, p + 1)]
+                    for _ in range(3):
+                        g = None
+                        for _ in range(rng.randint(1, 4)):
+                            key = rng.choice(gens)
+                            x = (rep.matrix(*key) if rng.random() < 0.5
+                                 else rep.matrix_inverse(*key))
+                            g = x if g is None else linalg.mat_mul(g, x)
+                        conj = linalg.mat_mul(
+                            g, linalg.mat_mul(u, linalg.mat_inverse(g)))
+                        assert _block_unipotent_oracle(conj, w, d), (d, kk)
+                        checked += 1
+                    assert flag_unipotency_check(d, kk)
+        assert checked == 3 * 17
 
 
 class TestBurnside:
