@@ -119,16 +119,26 @@ class BraidWord:
         return list(self.letters)
 
 
-def parse_word(strands: int, text: str) -> BraidWord:
+def parse_word(strands: int, text: str,
+               max_length: int | None = None) -> BraidWord:
     """Parse a word from tokens.
 
     Grammar (whitespace separated):
       ``s<i>`` or ``s<i>^<k>``      generator power (k may be negative)
       ``A <r> <s>``                 pure-braid generator A_{rs}
       ``T <a> <b>``                 full twist on the strand interval [a, b]
+
+    With ``max_length``, a word of more letters (after expanding powers and
+    the A and T tokens) is rejected before it is built.
     """
     tokens = text.split()
     letters: list = []
+
+    def make_room(count: int):
+        if max_length is not None and len(letters) + count > max_length:
+            raise ValidationError(
+                f"word has more than {max_length} letters (the budget)")
+
     pos = 0
     while pos < len(tokens):
         tok = tokens[pos]
@@ -142,6 +152,7 @@ def parse_word(strands: int, text: str) -> BraidWord:
                     f"token '{tok}' needs two integer arguments") from None
             word = (pure_generator(a, b, strands) if tok == "A"
                     else full_twist(a, b, strands))
+            make_room(len(word.letters))
             letters.extend(word.letters)
             pos += 3
             continue
@@ -156,10 +167,8 @@ def parse_word(strands: int, text: str) -> BraidWord:
             i, k = int(istr), int(kstr)
         except ValueError:
             raise ValidationError(f"unrecognized token '{tok}'") from None
-        if k >= 0:
-            letters.extend([i] * k)
-        else:
-            letters.extend([-i] * (-k))
+        make_room(abs(k))
+        letters.extend([i if k >= 0 else -i] * abs(k))
         pos += 1
     return BraidWord(strands, letters)
 

@@ -30,6 +30,14 @@ from .topology import CoverSpec
 COMMANDS = ("matrix", "verify", "form", "specialize", "spectral",
             "decompose", "dm", "classify", "signature", "sweep")
 
+# Input budgets, checked as the input is read (the cover order d is budgeted
+# in cyclo.MAX_D).  Symbolic matrices grow fast with the strand count and
+# the word length, and a sweep has phi(d)^(n+1) rows per (d, n).  30 letters
+# is the full twist squared on 6 strands, T 1 6 T 1 6.
+MAX_N = 8              # n = strands - 1 for every command but sweep
+MAX_WORD_LENGTH = 30   # letters, after expanding powers and A, T tokens
+MAX_SWEEP_N = 5        # the largest n a sweep may request
+
 
 @dataclass
 class JobConfig:
@@ -60,15 +68,22 @@ def _require(config: JobConfig, names):
                 f"'{config.command}' requires --{name}")
 
 
+def _check_n(n: int):
+    if n > MAX_N:
+        raise ValidationError(f"n={n} exceeds the budget MAX_N={MAX_N}")
+
+
 def _strands(config: JobConfig) -> int:
     _require(config, ("n",))
     if config.n < 1:
         raise ValidationError("--n must be >= 1")
+    _check_n(config.n)
     return config.n + 1
 
 
 def _cover_spec(config: JobConfig) -> CoverSpec:
     _require(config, ("d", "k"))
+    _check_n(len(config.k) - 1)
     spec = CoverSpec.from_dk(config.d, config.k)
     if config.n is not None and config.n != spec.n:
         raise ValidationError(
@@ -85,7 +100,7 @@ def _cmd_matrix(config: JobConfig) -> dict:
     _require(config, ("word",))
     if config.basis not in ("reduced", "unreduced"):
         raise ValidationError("--basis must be 'reduced' or 'unreduced'")
-    w = parse_word(strands, config.word)
+    w = parse_word(strands, config.word, MAX_WORD_LENGTH)
     tm = evaluate_word(w, config.basis)
     return {
         "command": "matrix",
@@ -102,7 +117,7 @@ def _cmd_matrix(config: JobConfig) -> dict:
 def _cmd_verify(config: JobConfig) -> dict:
     strands = _strands(config)
     _require(config, ("word",))
-    w = parse_word(strands, config.word)
+    w = parse_word(strands, config.word, MAX_WORD_LENGTH)
     return {
         "command": "verify",
         "n": config.n,
@@ -243,6 +258,9 @@ def _cmd_sweep(config: JobConfig, sink) -> None:
     if d_max > config.cap:
         raise ValidationError(
             f"sweep cap exceeded: --d {d_max} > --cap {config.cap}")
+    if n_max > MAX_SWEEP_N:
+        raise ValidationError(
+            f"sweep n={n_max} exceeds the budget MAX_SWEEP_N={MAX_SWEEP_N}")
     for d, n, k in sweep_jobs(d_max, n_max):
         sink.write(_dump_line(sweep_row(d, n, k)))
 

@@ -186,10 +186,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def coefficients(self) -> tuple:
-        """The phi(d) rational coordinates in the power basis."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: CycloNum):
@@ -452,11 +448,19 @@ def check_weights(d: int, k: tuple):
                 f"weight {ki} is not coprime to the order {d}")
 
 
+# The largest cover order d a spec may have: each order builds a d x phi(d)
+# table of powers of omega, and one product costs up to phi(d)^2 operations.
+MAX_D = 128
+
+
 def check_spec_weights(d: int, k: tuple):
-    """Validate the weights of a cover spec: d >= 2, at least two weights,
-    each in 1..d-1 and coprime to d (checked weight by weight)."""
+    """Validate the weights of a cover spec: 2 <= d <= MAX_D, at least two
+    weights, each in 1..d-1 and coprime to d (checked weight by weight)."""
     if d < 2:
         raise ValidationError("cover order d must be >= 2")
+    if d > MAX_D:
+        raise ValidationError(
+            f"cover order d={d} exceeds the budget MAX_D={MAX_D}")
     if len(k) < 2:
         raise ValidationError("need at least 2 weights (n >= 1)")
     for ki in k:

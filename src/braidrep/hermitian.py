@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from math import gcd as _int_gcd
 
-import numpy as _np
-
 from . import linalg
 from .braid import BraidWord
 from .cyclo import check_spec_weights, specialize_poly
@@ -172,6 +170,8 @@ def signature(d: int, k: tuple, f: int) -> tuple:
     if (sum(k) * f) % d == 0:
         raise ValidationError(
             f"form is degenerate at d={d}, k={k}: signature undefined")
+    import numpy as _np  # only here, so that importing braidrep stays light
+
     h = specialize_form(d, k)
     n = len(h)
     emb = _np.array([[x.embed(f) for x in row] for row in h], dtype=complex)

@@ -1,8 +1,8 @@
 """Small exact linear algebra over field-like elements.
 
-Matrices are immutable tuples of row tuples.  Entries only need ring
-operations plus ``is_zero`` and either ``inverse()`` or true division; both
-``RationalFunction`` and ``CycloNum`` qualify.  Sizes here are tiny (the
+Matrices are immutable tuples of row tuples.  Entries are ``CycloNum`` or
+``RationalFunction`` field elements; besides the ring operations only
+``is_zero``, ``is_one`` and ``inverse`` are used.  Sizes here are tiny (the
 representations are at most 7-dimensional), so the classical algorithms are
 used without pivot-size heuristics.
 """
@@ -48,35 +48,10 @@ def mat_sub(a: tuple, b: tuple) -> tuple:
                  for ra, rb in zip(a, b))
 
 
-def transpose(a: tuple) -> tuple:
-    return tuple(zip(*a))
-
-
 def mat_eq(a: tuple, b: tuple) -> bool:
     if len(a) != len(b):
         return False
     return all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_identity(a: tuple) -> bool:
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if i == j:
-                if not _is_one(x):
-                    return False
-            elif not x.is_zero():
-                return False
-    return True
-
-
-def _is_one(x) -> bool:
-    return x.is_one() if hasattr(x, "is_one") else x == 1
-
-
-def _div(a, b):
-    if hasattr(b, "inverse"):
-        return a * b.inverse()
-    return a / b
 
 
 def mat_inverse(a: tuple) -> tuple:
@@ -87,7 +62,7 @@ def mat_inverse(a: tuple) -> tuple:
     for row in a:
         for x in row:
             if not x.is_zero():
-                one = _div(x, x)
+                one = x * x.inverse()
                 break
         if one is not None:
             break
@@ -107,10 +82,11 @@ def mat_inverse(a: tuple) -> tuple:
             work[col], work[piv] = work[piv], work[col]
             inv[col], inv[piv] = inv[piv], inv[col]
         p = work[col][col]
-        if not _is_one(p):
+        if not p.is_one():
+            pinv = p.inverse()
             for j in range(n):
-                work[col][j] = _div(work[col][j], p)
-                inv[col][j] = _div(inv[col][j], p)
+                work[col][j] = work[col][j] * pinv
+                inv[col][j] = inv[col][j] * pinv
         for r in range(n):
             if r == col:
                 continue
@@ -147,7 +123,7 @@ def determinant(a: tuple):
             c = work[r][col]
             if c.is_zero():
                 continue
-            factor = _div(c, p)
+            factor = c * p.inverse()
             for j in range(col, n):
                 work[r][j] = work[r][j] - factor * work[col][j]
     if sign < 0:
@@ -205,6 +181,6 @@ def kernel_basis(rows: list, one) -> list:
             for j in range(c + 1, ncols):
                 if not v[j].is_zero():
                     acc = acc + work[r][j] * v[j]
-            v[c] = _div(-acc, work[r][c])
+            v[c] = -acc * work[r][c].inverse()
         basis.append(tuple(v))
     return basis

@@ -3,14 +3,19 @@
 The symbolic reduced matrices of the pure generators are cached per strand
 count (they do not depend on the weights), so specializing a representation
 is one cheap monomial-evaluation pass.  The heavy predicate here is the
-span-closure irreducibility test; it exploits that the reflection generators
-s_i^2 differ from the identity in a single row, so left products touch one
-matrix row and the elimination stays sparse.  In the degenerate case the
-unipotent commutator is built once per call, and its flag unipotency is
-proved from the pure generators rather than sampled over conjugates.
+span-closure irreducibility test (Burnside: the reflections s_i^2 generate
+M_n exactly when the representation is irreducible).  s_i^2 - 1 is nonzero
+in one row only, so the closure works in row blocks: n independent echelon
+forms of length-n rows, one per matrix row.  The identity is never reduced;
+it adds one dimension unless every block holds its own unit vector.  In the
+degenerate case the unipotent commutator is built once per call, and its
+flag unipotency is proved from the pure generators rather than sampled over
+conjugates.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from . import linalg
 from .braid import full_twist, pure_generator
@@ -86,13 +91,10 @@ class SpecializedRep:
             self._inverses[(r, s)] = inv
         return inv
 
-    def reflections(self) -> list:
-        """The matrices of s_i^2 = A_{i,i+1} in generator order."""
-        return [self.generator_matrices[(i, i + 1)]
-                for i in range(1, self.strands)]
-
     def reflection_rows(self) -> list:
-        """Per reflection i: the sparse nontrivial row (idx, [(col, coeff)])."""
+        """Per reflection i: the one nonzero row of s_i^2 - 1, as
+        (idx, [(col, coeff)]) with idx = i - 1 and zero coefficients left
+        out."""
         if self._reflection_rows is None:
             rows = []
             n = self.dim
@@ -104,10 +106,11 @@ class SpecializedRep:
                 entries = []
                 if idx - 1 >= 0:
                     entries.append((idx - 1, ti * (one - ti1)))
-                entries.append((idx, ti * ti1))
+                entries.append((idx, ti * ti1 - one))
                 if idx + 1 < n:
                     entries.append((idx + 1, one - ti))
-                rows.append((idx, entries))
+                rows.append((idx, [(col, c) for col, c in entries
+                                   if not c.is_zero()]))
             self._reflection_rows = rows
         return self._reflection_rows
 
@@ -342,93 +345,76 @@ def flag_unipotency_check(d: int, k: tuple, seed: int = 0) -> bool:
 
 # -- irreducibility by span closure ------------------------------------------
 
-def burnside_irreducibility(rep: SpecializedRep,
-                            generators: list | None = None):
-    """(span_dim, irreducible): dimension over Q(omega_d) of the algebra
-    spanned by words in the generator matrices, closed under left products.
+def _reduce(block: dict, vec: list):
+    """Reduce vec in place against an echelon block (pivot column ->
+    normalized row); return the first nonzero column left, or None when vec
+    lies in the span of the block."""
+    for j, x in enumerate(vec):
+        if x.is_zero():
+            continue
+        row = block.get(j)
+        if row is None:
+            return j
+        for t in range(j, len(vec)):
+            rv = row[t]
+            if not rv.is_zero():
+                vec[t] = vec[t] - x * rv
+    return None
 
-    By default the complex reflections s_i^2 are used as generators; they
-    already generate the full matrix algebra exactly when the representation
-    is irreducible, and their single-row structure keeps the closure cheap.
-    Passing explicit matrices switches to the generic dense path.
+
+def burnside_irreducibility(rep: SpecializedRep):
+    """(span_dim, irreducible): dimension over Q(omega_d) of the algebra
+    generated by the complex reflections s_i^2, and whether it is all of M_n.
+
+    By Burnside's theorem the reflections generate M_n exactly when the
+    representation is irreducible.  The algebra is closed from the identity
+    under left products, in row blocks: s_i^2 - 1 is nonzero in matrix row
+    i - 1 only, so a candidate s_i^2 b - b lives in that one row, and one
+    echelon form of length-n rows is kept per matrix row a (the space V_a).
+    The identity is never reduced.  The span S = span(I) + V_0 + ... +
+    V_{n-1} contains I, and s_i^2 b - b lies in V for every explored b, so S
+    is closed under left products and is the algebra.  I lies in V exactly
+    when every V_a holds its unit vector e_a; so span_dim = sum_a dim V_a,
+    plus 1 otherwise.
     """
     n = rep.dim
     d = rep.d
     one = CycloNum.one(d)
     zero = CycloNum.zero(d)
-    ident = linalg.identity(n, one, zero)
     nsq = n * n
-
-    pivots: dict = {}  # pivot index -> normalized row (list of length n^2)
-
-    def reduce_and_insert(vec: list) -> bool:
-        j = 0
-        while j < nsq:
-            x = vec[j]
-            if not x.is_zero():
-                row = pivots.get(j)
-                if row is None:
-                    inv = x.inverse()
-                    pivots[j] = [v * inv for v in vec]
-                    return True
-                for t in range(j, nsq):
-                    rv = row[t]
-                    if not rv.is_zero():
-                        vec[t] = vec[t] - x * rv
-            j += 1
-        return False
-
-    def flatten(m: tuple) -> list:
-        return [x for row in m for x in row]
-
-    reduce_and_insert(flatten(ident))
-    worklist = [ident]
-    use_reflections = generators is None
-    gens = rep.reflection_rows() if use_reflections else list(generators)
-    # every insert adds an echelon row, so at most (n^2 + 1) matrices are
-    # ever explored; the cap only guards against an implementation bug
+    blocks = [{} for _ in range(n)]
+    rank = 0
+    reflections = rep.reflection_rows()
+    worklist = deque([linalg.identity(n, one, zero)])
+    # every insert adds an echelon row, so at most n^2 + 1 matrices are ever
+    # explored; the cap only guards against an implementation bug
     produced = 0
-    cap = 2 * (nsq + 1) * max(1, len(gens))
-    while worklist:
-        b = worklist.pop(0)
-        for gen in gens:
+    cap = 2 * (nsq + 1) * len(reflections)
+    while worklist and rank < nsq:
+        b = worklist.popleft()
+        for idx, entries in reflections:
             produced += 1
             if produced > cap:
                 raise InvariantError(
                     "span closure failed to stabilize",
                     reproducer={"op": "burnside", "d": d, "k": list(rep.k)})
-            if use_reflections:
-                idx, entries = gen
-                newrow = [zero] * n
-                for col, coeff in entries:
-                    brow = b[col]
-                    for t in range(n):
-                        x = brow[t]
-                        if not x.is_zero():
-                            newrow[t] = newrow[t] + coeff * x
-                # candidate = product - b, supported on matrix row idx
-                delta = [zero] * nsq
-                base = idx * n
-                changed = False
-                brow = b[idx]
-                for t in range(n):
-                    dv = newrow[t] - brow[t]
-                    if not dv.is_zero():
-                        delta[base + t] = dv
-                        changed = True
-                if not changed:
-                    continue
-                if reduce_and_insert(delta):
-                    prod = tuple(tuple(newrow) if a == idx else b[a]
-                                 for a in range(n))
-                    worklist.append(prod)
-            else:
-                prod = linalg.mat_mul(gen, b)
-                if reduce_and_insert(flatten(prod)):
-                    worklist.append(prod)
-        if len(pivots) >= nsq:
-            break
-    span_dim = len(pivots)
+            delta = [zero] * n
+            for col, coeff in entries:
+                for t, x in enumerate(b[col]):
+                    if not x.is_zero():
+                        delta[t] = delta[t] + coeff * x
+            vec = list(delta)
+            j = _reduce(blocks[idx], vec)
+            if j is None:
+                continue
+            inv = vec[j].inverse()
+            blocks[idx][j] = [v * inv for v in vec]
+            rank += 1
+            row = tuple(x + y for x, y in zip(b[idx], delta))
+            worklist.append(b[:idx] + (row,) + b[idx + 1:])
+    units = all(_reduce(blocks[a], [one if t == a else zero for t in range(n)])
+                is None for a in range(n))
+    span_dim = rank if units else rank + 1
     return span_dim, span_dim == nsq
 
 

@@ -6,7 +6,16 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from braidrep.cli import build_parser, config_from_args, main, run
+from braidrep.cli import (
+    MAX_N,
+    MAX_SWEEP_N,
+    MAX_WORD_LENGTH,
+    build_parser,
+    config_from_args,
+    main,
+    run,
+)
+from braidrep.cyclo import MAX_D
 
 
 def _schema():
@@ -222,6 +231,60 @@ class TestExitCodes:
         doc = check_doc(text)
         assert doc["kind"] == "invariant"
         assert doc["reproducer"]["op"] == "form"
+
+
+class TestBudgets:
+    """Every input budget ends in exit 2 with a JSON validation body, before
+    any work proportional to the input is done."""
+
+    def _rejected(self, argv, capsys, budget):
+        assert main(argv) == 2
+        doc = check_doc(capsys.readouterr().err)
+        assert doc["kind"] == "validation"
+        assert budget in doc["error"]
+
+    # the cheap over-budget input comes first in each test, so that without
+    # the budgets a test fails fast instead of running away
+
+    def test_large_d(self, capsys):
+        self._rejected(["classify", "--d", str(MAX_D + 1), "--k", "1,1"],
+                       capsys, "MAX_D")
+        # builds a d x phi(d) table of powers without the budget
+        self._rejected(["spectral", "--d", "1000003", "--k", "1,2"],
+                       capsys, "MAX_D")
+        code, _ = run_cli(["decompose", "--d", str(MAX_D), "--k", "1,1"])
+        assert code == 0
+
+    def test_large_n(self, capsys):
+        self._rejected(["spectral", "--d", "3",
+                        "--k", ",".join(["1"] * (MAX_N + 2))], capsys, "MAX_N")
+        self._rejected(["form", "--n", str(MAX_N + 1)], capsys, "MAX_N")
+        code, _ = run_cli(["decompose", "--d", "3",
+                           "--k", ",".join(["1"] * (MAX_N + 1))])
+        assert code == 0
+
+    def test_long_word(self, capsys):
+        self._rejected(["matrix", "--n", "2",
+                        "--word", f"s1^{MAX_WORD_LENGTH + 1}"],
+                       capsys, "budget")
+        # a power is rejected before its letters are built
+        self._rejected(["verify", "--n", "2", "--word", "s1^-1000000000000"],
+                       capsys, "budget")
+        self._rejected(["verify", "--n", "2",
+                        "--word", " ".join(["A 1 3"] * MAX_WORD_LENGTH)],
+                       capsys, "budget")
+        code, _ = run_cli(["matrix", "--n", "2",
+                           "--word", f"s1^{MAX_WORD_LENGTH}"])
+        assert code == 0
+
+    def test_large_sweep_n(self, capsys):
+        self._rejected(["sweep", "--d", "2", "--n", str(MAX_SWEEP_N + 1)],
+                       capsys, "MAX_SWEEP_N")
+        self._rejected(["sweep", "--d", "2", "--n", "30"], capsys,
+                       "MAX_SWEEP_N")
+        code, text = run_cli(["sweep", "--d", "2", "--n", str(MAX_SWEEP_N)])
+        assert code == 0
+        assert len(text.splitlines()) == MAX_SWEEP_N
 
 
 class TestConfigFile:

@@ -1,10 +1,14 @@
 """The skew-hermitian form: structure, invariance, determinant, signatures."""
 
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 
+import braidrep
 from braidrep import linalg
 from braidrep.braid import BraidWord, full_twist, pure_generator, random_pure_word
 from braidrep.cyclo import CycloNum, specialize_poly
@@ -191,6 +195,19 @@ class TestSignature:
         by_f = {row["f"]: (row["p"], row["q"]) for row in rep}
         assert by_f[7] == (2, 1)
         assert by_f[11] == (1, 2)
+
+    def test_numpy_loaded_only_by_signature(self):
+        # numpy is most of the import time; importing the package and the
+        # CLI must not load it, and the first signature call must
+        src = os.path.dirname(os.path.dirname(braidrep.__file__))
+        code = ("import sys, braidrep, braidrep.cli\n"
+                "assert 'numpy' not in sys.modules, 'numpy imported eagerly'\n"
+                "braidrep.signature(3, (1, 1), 1)\n"
+                "assert 'numpy' in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIsotropyOfInvariantVector:

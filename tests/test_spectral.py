@@ -300,10 +300,10 @@ class TestBurnside:
         for d, k in [(3, (1, 1, 2)), (3, (1, 1, 1)), (4, (1, 1, 1, 1)),
                      (5, (1, 2, 3, 4)), (2, (1, 1, 1, 1))]:
             rep = specialize_rep(d, k)
-            sparse_dim, sparse_irr = burnside_irreducibility(rep)
-            dense_dim, dense_irr = burnside_irreducibility(
-                rep, generators=rep.reflections())
-            assert (sparse_dim, sparse_irr) == (dense_dim, dense_irr)
+            span_dim, irreducible = burnside_irreducibility(rep)
+            dense_dim = _dense_span(rep, _reflections(rep))
+            assert span_dim == dense_dim
+            assert irreducible == (dense_dim == rep.dim ** 2)
 
     def test_all_pure_generators_do_not_change_verdict(self):
         # closing over every A_{rs} may grow the degenerate span but never
@@ -311,12 +311,87 @@ class TestBurnside:
         for d, k in [(3, (1, 1, 2)), (3, (1, 1, 1)), (2, (1, 1, 1, 1))]:
             rep = specialize_rep(d, k)
             dim_refl, irr_refl = burnside_irreducibility(rep)
-            dim_all, irr_all = burnside_irreducibility(
-                rep, generators=[rep.generator_matrices[key]
-                                 for key in sorted(rep.generator_matrices)])
-            assert irr_refl == irr_all
+            dim_all = _dense_span(rep, [rep.generator_matrices[key]
+                                        for key in sorted(rep.generator_matrices)])
+            assert irr_refl == (dim_all == rep.dim ** 2)
             assert (dim_all == dim_refl == rep.dim ** 2) or \
                 (dim_refl <= dim_all < rep.dim ** 2)
+
+    def test_closed_form_span_dim(self):
+        """span_dim = n rank(N) + (1 if rank(N) < n else 0), where row a of
+        the n x n matrix N is the one nonzero row of s_{a+1}^2 - 1.
+
+        With weights coprime to d, no t_i is 1, so every off-diagonal entry
+        t_i (1 - t_{i+1}) and 1 - t_i of N is nonzero.  A product of factors
+        s_j^2 - 1 maps row N[a] to a multiple of N[j] that is nonzero along
+        the path a, a +- 1, ..., j; so {N[a] b : b in the algebra} is the
+        row space R of N for every a.  The algebra is therefore span(I) plus
+        all matrices with every row in R.  It has dimension n rank(N), plus
+        1 unless R is everything (then I is already inside).
+        """
+        seen = set()
+        for d in (2, 3, 4):
+            units = coprime_units(d)
+            for strands in (2, 3, 4):
+                for k in itertools.product(units, repeat=strands):
+                    rep = specialize_rep(d, k)
+                    n = rep.dim
+                    one = CycloNum.one(d)
+                    rows = []
+                    for a, m in enumerate(_reflections(rep)):
+                        diff = linalg.mat_sub(m, linalg.identity(
+                            n, one, CycloNum.zero(d)))
+                        assert all(x.is_zero() for b, row in enumerate(diff)
+                                   if b != a for x in row), (d, k)
+                        rows.append(diff[a])
+                    rank = n - len(linalg.kernel_basis(rows, one))
+                    expected = n * rank + (1 if rank < n else 0)
+                    span_dim, irreducible = burnside_irreducibility(rep)
+                    assert span_dim == expected, (d, k)
+                    assert irreducible == (span_dim == n * n)
+                    if n >= 2:
+                        pinned = n * (n - 1) + 1 if rep.is_degenerate() else n * n
+                        assert span_dim == pinned, (d, k)
+                    seen.add((n, span_dim))
+        assert seen == {(1, 1), (2, 4), (2, 3), (3, 9), (3, 7)}
+
+
+def _reflections(rep):
+    """The matrices of s_i^2 = A_{i,i+1} in generator order."""
+    return [rep.generator_matrices[(i, i + 1)] for i in range(1, rep.strands)]
+
+
+def _dense_span(rep, mats):
+    """Reference closure: the dimension of the algebra generated by mats,
+    with the identity and every left product flattened to a length-n^2
+    vector and reduced in one echelon form."""
+    n = rep.dim
+    pivots = {}
+
+    def insert(m):
+        vec = [x for row in m for x in row]
+        for j, x in enumerate(vec):
+            if x.is_zero():
+                continue
+            row = pivots.get(j)
+            if row is None:
+                inv = x.inverse()
+                pivots[j] = [v * inv for v in vec]
+                return True
+            for t in range(j, n * n):
+                vec[t] = vec[t] - x * row[t]
+        return False
+
+    ident = linalg.identity(n, CycloNum.one(rep.d), CycloNum.zero(rep.d))
+    insert(ident)
+    worklist = [ident]
+    while worklist:
+        b = worklist.pop()
+        for g in mats:
+            prod = linalg.mat_mul(g, b)
+            if insert(prod):
+                worklist.append(prod)
+    return len(pivots)
 
 
 class TestFixedVectors:
