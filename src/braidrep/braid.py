@@ -119,8 +119,12 @@ class BraidWord:
         return list(self.letters)
 
 
-def parse_word(strands: int, text: str,
-               max_length: int | None = None) -> BraidWord:
+# The most letters (after expanding powers, A and T) parse_word accepts; 30
+# is the full twist squared on 6 strands.  Symbolic cost grows fast with it.
+MAX_WORD_LENGTH = 30
+
+
+def parse_word(strands: int, text: str) -> BraidWord:
     """Parse a word from tokens.
 
     Grammar (whitespace separated):
@@ -128,16 +132,15 @@ def parse_word(strands: int, text: str,
       ``A <r> <s>``                 pure-braid generator A_{rs}
       ``T <a> <b>``                 full twist on the strand interval [a, b]
 
-    With ``max_length``, a word of more letters (after expanding powers and
-    the A and T tokens) is rejected before it is built.
+    A word over MAX_WORD_LENGTH letters is rejected before it is built.
     """
     tokens = text.split()
     letters: list = []
 
     def make_room(count: int):
-        if max_length is not None and len(letters) + count > max_length:
-            raise ValidationError(
-                f"word has more than {max_length} letters (the budget)")
+        if len(letters) + count > MAX_WORD_LENGTH:
+            raise ValidationError(f"word has more than {MAX_WORD_LENGTH} "
+                                  "letters (the budget MAX_WORD_LENGTH)")
 
     pos = 0
     while pos < len(tokens):

@@ -23,6 +23,7 @@ from math import gcd as _int_gcd
 
 from . import hermitian, spectral, topology
 from .braid import parse_word
+from .cyclo import MAX_D
 from .errors import InvariantError, ValidationError
 from .gassner import evaluate_word
 from .topology import CoverSpec
@@ -30,12 +31,10 @@ from .topology import CoverSpec
 COMMANDS = ("matrix", "verify", "form", "specialize", "spectral",
             "decompose", "dm", "classify", "signature", "sweep")
 
-# Input budgets, checked as the input is read (the cover order d is budgeted
-# in cyclo.MAX_D).  Symbolic matrices grow fast with the strand count and
-# the word length, and a sweep has phi(d)^(n+1) rows per (d, n).  30 letters
-# is the full twist squared on 6 strands, T 1 6 T 1 6.
+# Input budgets, checked as the input is read (d and the word length are
+# budgeted in cyclo.MAX_D and braid.MAX_WORD_LENGTH).  Symbolic matrices grow
+# fast with the strand count; a sweep has phi(d)^(n+1) rows per (d, n).
 MAX_N = 8              # n = strands - 1 for every command but sweep
-MAX_WORD_LENGTH = 30   # letters, after expanding powers and A, T tokens
 MAX_SWEEP_N = 5        # the largest n a sweep may request
 
 
@@ -100,7 +99,7 @@ def _cmd_matrix(config: JobConfig) -> dict:
     _require(config, ("word",))
     if config.basis not in ("reduced", "unreduced"):
         raise ValidationError("--basis must be 'reduced' or 'unreduced'")
-    w = parse_word(strands, config.word, MAX_WORD_LENGTH)
+    w = parse_word(strands, config.word)
     tm = evaluate_word(w, config.basis)
     return {
         "command": "matrix",
@@ -117,7 +116,7 @@ def _cmd_matrix(config: JobConfig) -> dict:
 def _cmd_verify(config: JobConfig) -> dict:
     strands = _strands(config)
     _require(config, ("word",))
-    w = parse_word(strands, config.word, MAX_WORD_LENGTH)
+    w = parse_word(strands, config.word)
     return {
         "command": "verify",
         "n": config.n,
@@ -258,6 +257,9 @@ def _cmd_sweep(config: JobConfig, sink) -> None:
     if d_max > config.cap:
         raise ValidationError(
             f"sweep cap exceeded: --d {d_max} > --cap {config.cap}")
+    if d_max > MAX_D:
+        raise ValidationError(
+            f"sweep d={d_max} exceeds the budget MAX_D={MAX_D}")
     if n_max > MAX_SWEEP_N:
         raise ValidationError(
             f"sweep n={n_max} exceeds the budget MAX_SWEEP_N={MAX_SWEEP_N}")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from braidrep.braid import (
+    MAX_WORD_LENGTH,
     BraidWord,
     Permutation,
     full_twist,
@@ -97,6 +98,14 @@ class TestParsing:
             parse_word(3, "A 1")
         with pytest.raises(ValidationError):
             parse_word(3, "s9")
+
+    def test_word_budget(self):
+        assert len(parse_word(7, "T 1 6 T 1 6").letters) == MAX_WORD_LENGTH
+        with pytest.raises(ValidationError, match="MAX_WORD_LENGTH"):
+            parse_word(3, f"s1^{MAX_WORD_LENGTH + 1}")
+        # a power is rejected before its letters are built
+        with pytest.raises(ValidationError, match="MAX_WORD_LENGTH"):
+            parse_word(3, "s2^-1000000000000")
 
     def test_roundtrip_str(self):
         w = BraidWord(4, (1, -2, 3))

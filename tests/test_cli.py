@@ -9,12 +9,12 @@ import pytest
 from braidrep.cli import (
     MAX_N,
     MAX_SWEEP_N,
-    MAX_WORD_LENGTH,
     build_parser,
     config_from_args,
     main,
     run,
 )
+from braidrep.braid import MAX_WORD_LENGTH
 from braidrep.cyclo import MAX_D
 
 
@@ -252,6 +252,9 @@ class TestBudgets:
         # builds a d x phi(d) table of powers without the budget
         self._rejected(["spectral", "--d", "1000003", "--k", "1,2"],
                        capsys, "MAX_D")
+        # rejected before any row is computed, not at the first d > MAX_D
+        self._rejected(["sweep", "--d", str(MAX_D + 1),
+                        "--cap", str(MAX_D + 1), "--n", "1"], capsys, "MAX_D")
         code, _ = run_cli(["decompose", "--d", str(MAX_D), "--k", "1,1"])
         assert code == 0
 
