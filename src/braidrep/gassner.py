@@ -6,9 +6,11 @@ fraction field), composed by the twisted rule
     rho(g h) = (sigma_g sigma_h,  M_g * sigma_g(M_h)),
 
 where sigma_g acts entrywise on the variables.  On the pure braid group the
-permutation is trivial and the map is an honest linear representation; its
-matrix entries then lie in the Laurent ring (denominator 1), which is
-asserted where it matters.
+permutation is trivial and the map is an honest linear representation.  The
+matrix entries of every word lie in the Laurent ring (denominator 1): each
+generator's determinant -X_i is a unit, so its inverse has Laurent entries
+too.  Words are evaluated in LaurentPoly arithmetic, and the Laurent entries
+are asserted where it matters.
 
 Bases:
   unreduced  (n+1)x(n+1) on e_1 .. e_{n+1}:
@@ -52,14 +54,6 @@ class TwistedMap:
     def dim(self) -> int:
         return len(self.matrix)
 
-    def compose(self, other: TwistedMap) -> TwistedMap:
-        """rho(g) . rho(h) -> rho(gh) under the twisted rule."""
-        if self.nvars != other.nvars or self.dim != other.dim:
-            raise ValidationError("cannot compose maps of different shapes")
-        twisted = apply_perm_to_matrix(self.perm, other.matrix)
-        return TwistedMap(self.nvars, self.perm * other.perm,
-                          linalg.mat_mul(self.matrix, twisted))
-
     def inverse(self) -> TwistedMap:
         inv_perm = self.perm.inverse()
         inv_matrix = apply_perm_to_matrix(inv_perm, linalg.mat_inverse(self.matrix))
@@ -89,16 +83,29 @@ def apply_perm_to_matrix(perm: Permutation, matrix: tuple) -> tuple:
 _generator_cache: dict = {}
 
 
-def _generator(strands: int, letter: int, basis: str) -> TwistedMap:
+def _generator(strands: int, letter: int, basis: str) -> tuple:
+    """(permutation, nontrivial rows) of one letter, built once and cached.
+
+    s_i differs from the identity in one row (reduced) or two rows
+    (unreduced), and so does its inverse: the determinant -X_i is a unit, so
+    the inverse has Laurent entries and the same row support.  A row is
+    (a, ((b, entry), ...)) with the zero entries left out.
+    """
     key = (strands, letter, basis)
     g = _generator_cache.get(key)
     if g is None:
         i = abs(letter)
-        g = (_reduced_generator_matrix(strands, i) if basis == "reduced"
-             else _unreduced_generator_matrix(strands, i))
+        tm = (_reduced_generator_matrix(strands, i) if basis == "reduced"
+              else _unreduced_generator_matrix(strands, i))
         if letter < 0:
-            g = g.inverse()
-        _generator_cache[key] = g
+            tm = tm.inverse()
+        mat = assert_polynomial_entries(tm, f"generator {letter} ({basis})")
+        one, zero = LaurentPoly.one(strands), LaurentPoly.zero(strands)
+        rows = tuple(
+            (a, tuple((b, x) for b, x in enumerate(row) if not x.is_zero()))
+            for a, row in enumerate(mat)
+            if row != tuple(one if b == a else zero for b in range(len(row))))
+        g = _generator_cache[key] = (tm.perm, rows)
     return g
 
 
@@ -139,23 +146,51 @@ def reduced_generator(i: int, strands: int) -> TwistedMap:
     """The crossed-homomorphism value of s_i on the eps-basis (n x n)."""
     if not 1 <= i <= strands - 1:
         raise ValidationError(f"generator index {i} out of range 1..{strands - 1}")
-    return _generator(strands, i, "reduced")
+    return evaluate_word(BraidWord(strands, (i,)), "reduced")
 
 
 def evaluate_word(w: BraidWord, basis: str = "reduced") -> TwistedMap:
-    """Fold the generator maps of a word under the twisted composition rule.
+    """The product of the letter images in reading order, one row at a time.
 
     Letters compose left to right through rho(gh) = rho(g) . rho(h); since the
     word acts rightmost-letter-first, this is exactly the product of the
-    letter images in reading order.
+    letter images in reading order.  Each step is
+    acc <- (sigma_acc sigma_g, M_acc * sigma_acc(M_g)), and M_g is the
+    identity outside its nontrivial rows R.  So column b of the product is
+    column b of M_acc (only if b is not in R) plus, for each r in R, column r
+    of M_acc times sigma_acc(M_g[r][b]): only the columns that the rows of R
+    reach change, and sigma_acc is applied to those few entries alone.  All
+    entries stay Laurent polynomials; they become RationalFunction once, at
+    the end.
     """
     if basis not in ("reduced", "unreduced"):
         raise ValidationError(f"unknown basis '{basis}'")
-    dim = w.strands - 1 if basis == "reduced" else w.strands
-    acc = TwistedMap.identity(w.strands, dim)
+    m = w.strands
+    dim = m - 1 if basis == "reduced" else m
+    one, zero = LaurentPoly.one(m), LaurentPoly.zero(m)
+    cols = [[one if a == b else zero for a in range(dim)] for b in range(dim)]
+    perm = Permutation.identity(m)
     for letter in w.letters:
-        acc = acc.compose(_generator(w.strands, letter, basis))
-    return acc
+        gperm, rows = _generator(m, letter, basis)
+        images = None if perm.is_identity() else perm.images
+        support = {r for r, _ in rows}
+        changed = {}
+        for r, row in rows:
+            src = cols[r]
+            for b, x in row:
+                if images is not None:
+                    x = x.permute_vars(images)
+                term = src if x.is_one() else [y * x if y.terms else y for y in src]
+                col = changed.get(b)
+                if col is None and b not in support:
+                    col = cols[b]
+                changed[b] = term if col is None else [u + t for u, t in zip(col, term)]
+        for b, col in changed.items():
+            cols[b] = col
+        perm = perm * gperm
+    return TwistedMap(m, perm, tuple(
+        tuple(RationalFunction.from_poly(cols[b][a]) for b in range(dim))
+        for a in range(dim)))
 
 
 def assert_polynomial_entries(m: TwistedMap, context: str) -> tuple:

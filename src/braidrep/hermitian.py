@@ -12,14 +12,21 @@ every pure word: M^H h M = h exactly.  The determinant is
 (1 - X_1...X_{n+1}) / prod (1 - X_i), so the specialization at roots of unity
 t_i = omega_d^{k_i} degenerates exactly when d divides sum(k).
 
-Invariance is checked with denominators cleared: D = prod (1 - X_i) is a
-scalar fixed by pure words, so M^H (D h) M = D h is an equivalent statement
-in pure Laurent-polynomial arithmetic, which keeps the 200-random-word checks
-cheap.
+The invariance check, the determinant recursion and the signatures use
+exact integer arithmetic, with no fractions and no floating point:
+
+- invariance is checked with denominators cleared: D = prod (1 - X_i) is a
+  scalar fixed by pure words, and with M' the image of the inverse word,
+  M' M = I and (D h) M = M'^H (D h) together say M^H (D h) M = D h;
+- the determinant runs the tridiagonal recursion on E_j = P_j D_j, the
+  leading minors times their denominators, one exact division per step;
+- signatures at roots of unity come from the weights by a closed form; the
+  tests check it against an eigenvalue count.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd as _int_gcd
 
 from . import linalg
@@ -27,7 +34,7 @@ from .braid import BraidWord
 from .cyclo import check_spec_weights, specialize_poly
 from .errors import InvariantError, ValidationError
 from .gassner import assert_polynomial_entries, evaluate_word
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly, RationalFunction, _div_exact
 
 
 def form_matrix(strands: int) -> tuple:
@@ -49,8 +56,10 @@ def form_matrix(strands: int) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
+@cache
 def _cleared_form(strands: int) -> tuple:
-    """D * h with D = prod (1 - X_i): a Laurent-polynomial matrix."""
+    """D * h with D = prod (1 - X_i): a Laurent-polynomial matrix, built once
+    per strand count."""
     m = strands
     n = m - 1
     one = LaurentPoly.one(m)
@@ -89,43 +98,89 @@ def is_skew_hermitian(matrix: tuple) -> bool:
 
 
 def verify_invariance(w: BraidWord) -> bool:
-    """Exact check that the reduced image of a pure word preserves the form."""
+    """Exact check that the reduced image of a pure word preserves the form.
+
+    With M the image of w and M' that of w^-1, M' M = I together with
+    (D h) M = M'^H (D h) is equivalent to M^H (D h) M = D h: the first makes
+    M' = M^-1, and (M' M)^H (D h) = D h.  M' M multiplies two Laurent
+    matrices of the word's size, and D h is tridiagonal, so no product has
+    the much larger entries of D h M that the direct check multiplies by M^H.
+    """
     tm = evaluate_word(w, "reduced")
     if not tm.is_linear():
         raise ValidationError(
             "form invariance is only defined for pure words; "
             f"'{w}' permutes the strands")
     mat = assert_polynomial_entries(tm, f"verify_invariance({w})")
+    inv = assert_polynomial_entries(evaluate_word(w.inverse(), "reduced"),
+                                    f"verify_invariance({w}) inverse")
+    one, zero = LaurentPoly.one(w.strands), LaurentPoly.zero(w.strands)
+    if not linalg.mat_eq(linalg.mat_mul(inv, mat),
+                         linalg.identity(len(mat), one, zero)):
+        return False
     h = _cleared_form(w.strands)
-    mh = conjugate_transpose(mat)
-    lhs = linalg.mat_mul(mh, linalg.mat_mul(h, mat))
-    return linalg.mat_eq(lhs, h)
+    return linalg.mat_eq(linalg.mat_mul(h, mat),
+                         linalg.mat_mul(conjugate_transpose(inv), h))
+
+
+def _numerator(x: RationalFunction, den: LaurentPoly, strands: int) -> LaurentPoly:
+    """The polynomial N with x = N / den, where den must be x's denominator
+    up to sign."""
+    if x.den == den:
+        return x.num
+    if x.den == -den:
+        return -x.num
+    raise InvariantError(
+        f"form entry {x} at {strands} strands does not have denominator {den}",
+        reproducer={"op": "form_determinant", "strands": strands})
 
 
 def form_determinant(strands: int) -> RationalFunction:
-    """det h, computed by the tridiagonal recursion and checked against
-    (1 - X_1...X_{n+1}) / prod (1 - X_i)."""
+    """det h, by the tridiagonal recursion without fractions, checked
+    against (1 - X_1...X_{n+1}) / prod (1 - X_i).
+
+    With f_i = 1 - X_i, D_j the leading principal minor of size j + 1 and
+    P_j = f_1...f_{j+2}, the polynomials E_j = P_j D_j satisfy
+
+        f_{j+1} E_j = a_j E_{j-1} - b_j f_{j+2} E_{j-2}
+
+    (E_{-1} = f_1, E_{-2} = 0), where h[j][j] = a_j / (f_{j+1} f_{j+2}) and
+    h[j][j-1] h[j-1][j] = b_j / f_{j+1}^2; a_j and b_j are read from the
+    entries of ``form_matrix`` and their denominators are checked.  Each
+    step is one exact division.  The closed form needs no gcd:
+    1 - X_1...X_m has degree 1 in X_1 and content 1, so it is irreducible,
+    and it is prime to every f_i.
+    """
     m = strands
     n = m - 1
     h = form_matrix(strands)
-    one = RationalFunction.constant(m, 1)
-    # leading principal minors: D_j = h[j][j] D_{j-1} - sub*super * D_{j-2}
-    prev2, prev1 = one, h[0][0]
-    for j in range(1, n):
-        off = h[j][j - 1] * h[j - 1][j]
-        cur = h[j][j] * prev1 - off * prev2
+    one = LaurentPoly.one(m)
+    f = [one - LaurentPoly.variable(m, i) for i in range(1, m + 1)]  # f[i] = f_{i+1}
+    reproducer = {"op": "form_determinant", "strands": strands}
+    prev2, prev1 = LaurentPoly.zero(m), f[0]
+    for j in range(n):
+        rhs = _numerator(h[j][j], f[j] * f[j + 1], m) * prev1
+        if j:
+            b = (_numerator(h[j][j - 1], f[j], m)
+                 * _numerator(h[j - 1][j], f[j], m))
+            rhs = rhs - b * f[j + 1] * prev2
+        try:
+            cur = _div_exact(rhs, f[j])
+        except ArithmeticError:
+            raise InvariantError(
+                f"form determinant recursion at {strands} strands: "
+                f"{rhs} is not divisible by {f[j]}", reproducer=reproducer) from None
         prev2, prev1 = prev1, cur
-    det = prev1
-    num = LaurentPoly.one(m) - LaurentPoly.monomial(m, (1,) * m)
-    den = LaurentPoly.one(m)
-    for i in range(1, m + 1):
-        den = den * (LaurentPoly.one(m) - LaurentPoly.variable(m, i))
-    closed = RationalFunction(num, den)
-    if det != closed:
+    num = one - LaurentPoly.monomial(m, (1,) * m)
+    den = one
+    for fi in f:
+        den = den * fi
+    if prev1 != num:
         raise InvariantError(
-            f"form determinant mismatch at {strands} strands: {det} vs {closed}",
-            reproducer={"op": "form_determinant", "strands": strands})
-    return det
+            f"form determinant mismatch at {strands} strands: "
+            f"{RationalFunction(prev1, den)} vs {RationalFunction._raw(num, den)}",
+            reproducer=reproducer)
+    return RationalFunction._raw(num, den)
 
 
 def specialize_form(d: int, k: tuple) -> tuple:
@@ -151,17 +206,15 @@ def is_degenerate(d: int, k: tuple) -> bool:
     return sum(k) % d == 0
 
 
-_ZERO_EIGENVALUE_TOL = 1e-6
-
-
 def signature(d: int, k: tuple, f: int) -> tuple:
     """Sign counts (p, q) of the hermitianized form at the embedding f.
 
-    The skew-hermitian matrix is multiplied by -i (the pinned imaginary
-    unit; the opposite choice swaps p and q) and the eigenvalues of the
-    resulting hermitian matrix are counted by sign.  Degeneracy is decided
-    exactly beforehand, so an eigenvalue within 1e-6 of zero can only mean a
-    conditioning problem and is an error, never a sign.
+    The hermitian form is -i times the skew-hermitian one (the pinned
+    imaginary unit; the opposite choice swaps p and q).  Its signature
+    follows from the weights alone (Deligne-Mostow; McMullen, "Braid groups
+    and Hodge theory"): with n = len(k) - 1 and
+    S = (sum_i (f k_i mod d) + (-f sum k mod d)) / d, (p, q) = (n + 1 - S, S - 1).
+    The tests check this against the eigenvalues of the specialized form.
     """
     k = tuple(k)
     check_spec_weights(d, k)
@@ -170,24 +223,12 @@ def signature(d: int, k: tuple, f: int) -> tuple:
     if (sum(k) * f) % d == 0:
         raise ValidationError(
             f"form is degenerate at d={d}, k={k}: signature undefined")
-    import numpy as _np  # only here, so that importing braidrep stays light
-
-    h = specialize_form(d, k)
-    n = len(h)
-    emb = _np.array([[x.embed(f) for x in row] for row in h], dtype=complex)
-    herm = -1j * emb
-    herm = (herm + herm.conj().T) / 2.0
-    eigs = _np.linalg.eigvalsh(herm)
-    if float(min(abs(eigs))) <= _ZERO_EIGENVALUE_TOL:
+    total = sum(f * ki % d for ki in k) + (-f * sum(k)) % d
+    s, rem = divmod(total, d)
+    p, q = len(k) - s, s - 1
+    if rem or p < 0 or q < 0:
         raise InvariantError(
-            f"eigenvalue {min(abs(eigs)):.3e} too close to zero at "
-            f"d={d}, k={k}, f={f}",
-            reproducer={"op": "signature", "d": d, "k": list(k), "f": f})
-    p = int((eigs > 0).sum())
-    q = int((eigs < 0).sum())
-    if p + q != n:
-        raise InvariantError(
-            f"signature counts {p}+{q} != {n} at d={d}, k={k}, f={f}",
+            f"weight sum {total} gives no signature at d={d}, k={k}, f={f}",
             reproducer={"op": "signature", "d": d, "k": list(k), "f": f})
     return p, q
 

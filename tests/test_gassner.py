@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from braidrep import linalg
+from braidrep import gassner, linalg
 from braidrep.artin import derive_unreduced_matrix
 from braidrep.braid import (
     BraidWord,
     full_twist,
+    parse_word,
     pure_generator,
     random_pure_word,
 )
 from braidrep.gassner import (
     TwistedMap,
+    apply_perm_to_matrix,
     assert_polynomial_entries,
     basis_change_e_to_eps,
     burau_specialize,
@@ -31,6 +33,56 @@ from braidrep.laurent import LaurentPoly, RationalFunction
 
 def RF(m, i):
     return RationalFunction.variable(m, i)
+
+
+def _dense_evaluate(w, basis):
+    """Reference: the dense twisted fold over full generator matrices,
+    acc <- (sigma_acc sigma_g, M_acc * sigma_acc(M_g)) with n^3 products."""
+    build = (gassner._reduced_generator_matrix if basis == "reduced"
+             else gassner._unreduced_generator_matrix)
+    dim = w.strands - 1 if basis == "reduced" else w.strands
+    acc = TwistedMap.identity(w.strands, dim)
+    for letter in w.letters:
+        g = build(w.strands, abs(letter))
+        if letter < 0:
+            g = g.inverse()
+        twisted = apply_perm_to_matrix(acc.perm, g.matrix)
+        acc = TwistedMap(w.strands, acc.perm * g.perm,
+                         linalg.mat_mul(acc.matrix, twisted))
+    return acc
+
+
+class TestDenseReference:
+    """evaluate_word (single-row updates in the Laurent ring) against the
+    dense fold: the same permutation and the identical matrix."""
+
+    @staticmethod
+    def _same(w, basis):
+        got, ref = evaluate_word(w, basis), _dense_evaluate(w, basis)
+        assert got.perm == ref.perm, (w, basis)
+        assert got.matrix == ref.matrix, (w, basis)
+        return got.is_linear()
+
+    @pytest.mark.parametrize("basis", ["reduced", "unreduced"])
+    def test_single_factor_pure_words(self, basis):
+        for m in range(3, 7):
+            texts = [f"A {r} {s}" for r in range(1, m) for s in range(r + 1, m + 1)]
+            texts += [f"T {a} {b} T {a} {b}"
+                      for a in range(1, m) for b in range(a + 2, m + 1)]
+            texts += [f"s{i}^{e}" for i in range(1, m) for e in (2, -2)]
+            for text in texts:
+                self._same(parse_word(m, text), basis)
+
+    @pytest.mark.parametrize("basis", ["reduced", "unreduced"])
+    def test_random_words_not_pure(self, basis):
+        rng = random.Random(5)
+        permuting = 0
+        for _ in range(40):
+            strands = rng.randint(2, 6)
+            letters = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                       for _ in range(rng.randint(1, 10))]
+            permuting += not self._same(BraidWord(strands, letters), basis)
+        assert permuting >= 20
 
 
 class TestReducedGenerator:

@@ -1,5 +1,6 @@
 """The skew-hermitian form: structure, invariance, determinant, signatures."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -9,10 +10,10 @@ from math import gcd
 import pytest
 
 import braidrep
-from braidrep import linalg
+from braidrep import hermitian, linalg
 from braidrep.braid import BraidWord, full_twist, pure_generator, random_pure_word
 from braidrep.cyclo import CycloNum, specialize_poly
-from braidrep.errors import ValidationError
+from braidrep.errors import InvariantError, ValidationError
 from braidrep.hermitian import (
     conjugate_transpose,
     form_determinant,
@@ -29,6 +30,22 @@ from braidrep.laurent import RationalFunction
 
 def RF(m, i):
     return RationalFunction.variable(m, i)
+
+
+def _eigen_signatures(d, k, fs):
+    """Reference: (p, q) at each embedding f by counting the signs of the
+    eigenvalues of -i h(f), the specialized form embedded in C."""
+    import numpy as np
+
+    h = specialize_form(d, k)
+    out = []
+    for f in fs:
+        emb = np.array([[x.embed(f) for x in row] for row in h], dtype=complex)
+        herm = -1j * emb
+        eigs = np.linalg.eigvalsh((herm + herm.conj().T) / 2.0)
+        assert float(min(abs(eigs))) > 1e-6, (d, k, f)
+        out.append((int((eigs > 0).sum()), int((eigs < 0).sum())))
+    return out
 
 
 class TestFormMatrix:
@@ -93,6 +110,31 @@ class TestDeterminant:
     def test_up_to_n6(self):
         for strands in range(2, 8):
             form_determinant(strands)  # raises on mismatch
+
+    @staticmethod
+    def _corrupt(monkeypatch, a, b, change):
+        """Make form_matrix return h with entry [a][b] replaced by change(h[a][b])."""
+        real = hermitian.form_matrix
+
+        def corrupted(strands):
+            rows = [list(r) for r in real(strands)]
+            rows[a][b] = change(rows[a][b], strands)
+            return tuple(tuple(r) for r in rows)
+
+        monkeypatch.setattr(hermitian, "form_matrix", corrupted)
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (2, 2), (2, 1), (1, 2)])
+    def test_wrong_numerator_raises(self, monkeypatch, a, b):
+        self._corrupt(monkeypatch, a, b,
+                      lambda x, m: RationalFunction(x.num + x.den, x.den))
+        with pytest.raises(InvariantError):
+            form_determinant(5)
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (2, 2), (2, 1), (1, 2)])
+    def test_wrong_denominator_raises(self, monkeypatch, a, b):
+        self._corrupt(monkeypatch, a, b, lambda x, m: x / (1 - RF(m, 1) * RF(m, 3)))
+        with pytest.raises(InvariantError, match="does not have denominator"):
+            form_determinant(5)
 
 
 class TestSpecializedForm:
@@ -196,14 +238,27 @@ class TestSignature:
         assert by_f[7] == (2, 1)
         assert by_f[11] == (1, 2)
 
-    def test_numpy_loaded_only_by_signature(self):
-        # numpy is most of the import time; importing the package and the
-        # CLI must not load it, and the first signature call must
+    def test_matches_eigenvalue_count_exhaustive(self):
+        # every non-degenerate sorted weight tuple with d <= 8 on 2-5
+        # strands, at every unit f: the closed form against the eigenvalues
+        cases = 0
+        for d in range(2, 9):
+            units = [u for u in range(1, d) if gcd(u, d) == 1]
+            for strands in range(2, 6):
+                for k in itertools.combinations_with_replacement(units, strands):
+                    if sum(k) % d == 0:
+                        continue
+                    want = _eigen_signatures(d, k, units)
+                    assert [signature(d, k, f) for f in units] == want, (d, k)
+                    cases += len(units)
+        assert cases == 3250
+
+    def test_signature_report_never_loads_numpy(self):
+        # the library computes signatures exactly; numpy belongs to the tests
         src = os.path.dirname(os.path.dirname(braidrep.__file__))
         code = ("import sys, braidrep, braidrep.cli\n"
-                "assert 'numpy' not in sys.modules, 'numpy imported eagerly'\n"
-                "braidrep.signature(3, (1, 1), 1)\n"
-                "assert 'numpy' in sys.modules\n")
+                "braidrep.hermitian.signature_report(18, (1, 1, 1, 1))\n"
+                "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
