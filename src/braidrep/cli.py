@@ -1,10 +1,10 @@
 """Command-line front end: every operation as a subcommand with JSON output.
 
-Exit codes: 0 success, 2 precondition/validation failure, 3 internal
-mathematical invariant failure (a bug; the JSON error carries a minimal
-reproducer).  Output is deterministic: keys are sorted and sweep rows are
-emitted in sorted job order.  ``--seed`` is accepted but reserved; no
-command reads it.
+Exit codes: 0 success, 2 precondition/validation failure (argument errors
+included), 3 internal mathematical invariant failure (a bug; the JSON error
+carries a minimal reproducer).  Output is deterministic: keys are sorted and
+sweep rows are emitted in sorted job order.  ``--seed`` is accepted but
+reserved; no command reads it.
 
 Usage sketch:
     braidrep verify --n 3 --word "A 1 3"
@@ -324,8 +324,17 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValidationError, so that
+    they end in exit 2 with a JSON body like every other bad input.  The
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidrep",
         description="Exact braid-group representation calculator with JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -384,10 +393,8 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
     except ValidationError as exc:
         sys.stderr.write(_dump({"error": str(exc), "kind": "validation"}))
         return 2

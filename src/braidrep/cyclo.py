@@ -6,6 +6,9 @@ single positive integer denominator (kept coprime to the coefficient
 content).  Products of specialization values are the hot path, so the common
 denominator-1 case avoids all gcd work.
 
+The inverse is the Galois norm formula a^-1 = prod_{f != 1} sigma_f(a) /
+N(a): integer Galois twists and products only, no polynomial Euclid.
+
 Specialization of Laurent polynomials (Xi -> omega_d^{k_i}) and numeric
 embeddings (w -> e^{2*pi*i*f/d}) live here too.
 """
@@ -16,7 +19,7 @@ import cmath
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .laurent import LaurentPoly, RationalFunction
 
 
@@ -183,9 +186,6 @@ class CycloNum:
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: CycloNum):
@@ -247,36 +247,28 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNum:
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_d."""
+        """Multiplicative inverse by the Galois norm.
+
+        With A = den * a (integer coefficients) and C = prod_{f != 1}
+        sigma_f(A) over the units f mod d, N = A * C is fixed by every
+        sigma_f, so it is a rational integer, and a^-1 = den * C / N.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational():
-            return CycloNum._raw(self.d, *_normalize(
-                (self.den * (1 if self.num[0] > 0 else -1),)
-                + (0,) * (len(self.num) - 1), abs(self.num[0])))
-        phi = [Fraction(c) for c in _context(self.d).phi_poly]
-        a = [Fraction(c, self.den) for c in self.num]
-        # extended Euclid: find u with a*u = 1 mod phi
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _trim(r1)
-            if len(r1) == 1:
-                break
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        c = r1[0]
-        if c == 0:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        inv = [x / c for x in s1]
-        deg = len(self.num)
-        inv = (inv + [Fraction(0)] * deg)[:deg]
-        den = 1
-        for x in inv:
-            den = den * x.denominator // _int_gcd(den, x.denominator)
-        num = tuple(int(x * den) for x in inv)
-        return CycloNum._raw(self.d, *_normalize(num, den))
+        d = self.d
+        a = CycloNum._raw(d, self.num, 1)
+        cofactor = CycloNum.one(d)
+        for f in range(2, d):
+            if _int_gcd(f, d) == 1:
+                cofactor = cofactor * a.galois(f)
+        norm = (a * cofactor).num
+        if any(norm[1:]):
+            raise InvariantError(
+                "Galois norm is not rational",
+                reproducer={"op": "cyclo_inverse", "d": d,
+                            "num": list(self.num), "den": self.den})
+        return CycloNum._raw(d, *_normalize(
+            tuple(c * self.den for c in cofactor.num), norm[0]))
 
     def __truediv__(self, other):
         other = _coerce(other, self.d)
@@ -395,43 +387,6 @@ def _coerce(x, d: int) -> CycloNum:
     if isinstance(x, Fraction):
         return CycloNum.from_fraction(d, x)
     raise TypeError(f"cannot coerce {type(x).__name__} to CycloNum")
-
-
-def _trim(p: list) -> list:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _frac_divmod(a: list, b: list):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        q[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                a[i + j] -= c * bc
-    return q, _trim(a[:len(b) - 1] or [Fraction(0)])
-
-
-def _frac_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Matrices are immutable tuples of row tuples.  Entries are ``CycloNum`` or
 ``RationalFunction`` field elements; besides the ring operations only
-``is_zero``, ``is_one`` and ``inverse`` are used.  Sizes here are tiny (the
-representations are at most 7-dimensional), so the classical algorithms are
-used without pivot-size heuristics.
+``is_zero``, ``is_one``, ``inverse`` and ``x ** 0`` (the field's one) are
+used.  Every elimination runs through one ``Echelon``, a row echelon form
+built one row at a time with rows scaled to one at their pivots: the span
+closure of ``spectral``, ``kernel_basis``, ``determinant`` and
+``mat_inverse``.  Sizes here are tiny (matrices are at most 9 x 9), so no
+pivot-size heuristics are used.
 """
 
 from __future__ import annotations
@@ -54,133 +57,129 @@ def mat_eq(a: tuple, b: tuple) -> bool:
     return all(ra == rb for ra, rb in zip(a, b))
 
 
+class Echelon:
+    """Row echelon form over a field, built one row at a time.
+
+    ``rows`` maps each pivot column to a row scaled to one at that column;
+    every entry left of the pivot is zero.  Rows are never reduced above
+    their pivots while being inserted, so an insert costs one inverse at most.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: list):
+        """Reduce vec in place; return its first nonzero column left, or
+        None when vec lies in the span of the rows."""
+        for j, x in enumerate(vec):
+            if x.is_zero():
+                continue
+            row = self.rows.get(j)
+            if row is None:
+                return j
+            for t in range(j, len(vec)):
+                rv = row[t]
+                if not rv.is_zero():
+                    vec[t] = vec[t] - x * rv
+        return None
+
+    def insert(self, vec: list):
+        """Reduce vec in place and, if it is independent, add it scaled to one
+        at its pivot.  Returns (pivot column, leading entry before scaling),
+        or None when vec lies in the span."""
+        j = self.reduce(vec)
+        if j is None:
+            return None
+        lead = vec[j]
+        if not lead.is_one():
+            inv = lead.inverse()
+            vec = vec[:j] + [x * inv for x in vec[j:]]
+        self.rows[j] = vec
+        return j, lead
+
+    def back_substitute(self):
+        """Clear the entries above every pivot (reduced echelon form)."""
+        pivots = sorted(self.rows)
+        for i, p in enumerate(pivots):
+            row = self.rows[p]
+            for q in pivots[:i]:
+                other = self.rows[q]
+                c = other[p]
+                if not c.is_zero():
+                    self.rows[q] = [x if y.is_zero() else x - c * y
+                                    for x, y in zip(other, row)]
+
+
 def mat_inverse(a: tuple) -> tuple:
-    """Gauss-Jordan inverse; raises InvariantError on a singular matrix."""
+    """Inverse by the reduced echelon form of [a | 1]; raises InvariantError
+    on a singular matrix."""
     n = len(a)
-    work = [list(row) for row in a]
-    one = None
-    for row in a:
-        for x in row:
-            if not x.is_zero():
-                one = x * x.inverse()
-                break
-        if one is not None:
-            break
-    if one is None:
-        raise InvariantError("matrix is singular")
-    zero = one - one
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not work[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
+    zero = a[0][0] - a[0][0]
+    one = a[0][0] ** 0
+    ech = Echelon()
+    for i, row in enumerate(a):
+        pivot = ech.insert(list(row) + [one if j == i else zero
+                                        for j in range(n)])
+        if pivot[0] >= n:
             raise InvariantError("matrix is singular")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        p = work[col][col]
-        if not p.is_one():
-            pinv = p.inverse()
-            for j in range(n):
-                work[col][j] = work[col][j] * pinv
-                inv[col][j] = inv[col][j] * pinv
-        for r in range(n):
-            if r == col:
-                continue
-            c = work[r][col]
-            if c.is_zero():
-                continue
-            for j in range(n):
-                work[r][j] = work[r][j] - c * work[col][j]
-                inv[r][j] = inv[r][j] - c * inv[col][j]
-    return tuple(tuple(row) for row in inv)
+    ech.back_substitute()
+    return tuple(tuple(ech.rows[i][n:]) for i in range(n))
 
 
 def determinant(a: tuple):
-    """Exact determinant by elimination with division (entries form a field)."""
-    n = len(a)
-    work = [list(row) for row in a]
-    sign = 1
+    """Exact determinant: the signed product of the leading entries of an
+    echelon form of the rows of a (entries form a field).
+
+    Row i reduces to a leading entry l_i at a distinct pivot column p_i, with
+    zeros left of it; reducing only subtracts multiples of earlier rows, so
+    det a = sign(i -> p_i) * prod l_i, and 0 when a row is dependent.
+    """
+    ech = Echelon()
+    pivots = []
     det = None
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not work[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            z = a[0][0] - a[0][0]
-            return z
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            sign = -sign
-        p = work[col][col]
-        det = p if det is None else det * p
-        for r in range(col + 1, n):
-            c = work[r][col]
-            if c.is_zero():
-                continue
-            factor = c * p.inverse()
-            for j in range(col, n):
-                work[r][j] = work[r][j] - factor * work[col][j]
-    if sign < 0:
-        det = -det
-    return det
+    for row in a:
+        pivot = ech.insert(list(row))
+        if pivot is None:
+            return a[0][0] - a[0][0]
+        pivots.append(pivot[0])
+        det = pivot[1] if det is None else det * pivot[1]
+    inversions = sum(1 for i, p in enumerate(pivots) for q in pivots[i + 1:]
+                     if p > q)
+    return -det if inversions % 2 else det
 
 
 def kernel_basis(rows: list, one) -> list:
     """Basis of the right kernel of a stacked row list, exactly.
 
-    Forward elimination is fraction-free (cross-multiplication only); the
-    kernel vectors are then read off the echelon form.  ``one`` is the field's
-    multiplicative identity (needed to build the free coordinates).  Returns a
-    list of tuples; empty when the kernel is trivial.
+    The rows are inserted into one echelon form until it reaches full rank.
+    Otherwise the form is back-substituted to reduced form, and each free
+    column f gives the kernel vector with 1 at f, 0 at the other free
+    columns and -row_c[f] at each pivot column c.  ``one`` is the field's
+    multiplicative identity (needed to build the free coordinates).  Returns
+    a list of tuples; empty when the kernel is trivial.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    pivots: list = []  # (row index, col index)
-    rank_row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank_row, len(work)):
-            if not work[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank_row:
-            work[rank_row], work[piv] = work[piv], work[rank_row]
-        p = work[rank_row][col]
-        for r in range(rank_row + 1, len(work)):
-            c = work[r][col]
-            if c.is_zero():
-                continue
-            for j in range(col, ncols):
-                work[r][j] = p * work[r][j] - c * work[rank_row][j]
-        pivots.append((rank_row, col))
-        rank_row += 1
-        if rank_row == len(work):
-            break
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    if not free_cols:
-        return []
+    ech = Echelon()
+    for r in rows:
+        ech.insert(list(r))
+        if len(ech) == ncols:
+            return []
+    ech.back_substitute()
     zero = one - one
     basis = []
-    for fc in free_cols:
+    for f in range(ncols):
+        if f in ech.rows:
+            continue
         v = [zero] * ncols
-        v[fc] = one
-        # back-substitute pivot coordinates (pivots in increasing col order)
-        for r, c in reversed(pivots):
-            acc = zero
-            for j in range(c + 1, ncols):
-                if not v[j].is_zero():
-                    acc = acc + work[r][j] * v[j]
-            v[c] = -acc * work[r][c].inverse()
+        v[f] = one
+        for c, row in ech.rows.items():
+            v[c] = -row[f]
         basis.append(tuple(v))
     return basis

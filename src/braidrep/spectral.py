@@ -5,8 +5,10 @@ count (they do not depend on the weights), so specializing a representation
 is one cheap monomial-evaluation pass.  The heavy predicate here is the
 span-closure irreducibility test (Burnside: the reflections s_i^2 generate
 M_n exactly when the representation is irreducible).  s_i^2 - 1 is nonzero
-in one row only, so the closure works in row blocks: n independent echelon
-forms of length-n rows, one per matrix row.  The identity is never reduced;
+in one row only, so the closure works in row blocks: n independent
+``linalg.Echelon`` forms of length-n rows, one per matrix row.  An inserted
+row costs one ``CycloNum`` inverse (the Galois norm, integer arithmetic
+only).  The identity is never reduced;
 it adds one dimension unless every block holds its own unit vector.  In the
 degenerate case the unipotent commutator is built once per call, and its
 flag unipotency is proved from the pure generators rather than sampled over
@@ -345,23 +347,6 @@ def flag_unipotency_check(d: int, k: tuple, seed: int = 0) -> bool:
 
 # -- irreducibility by span closure ------------------------------------------
 
-def _reduce(block: dict, vec: list):
-    """Reduce vec in place against an echelon block (pivot column ->
-    normalized row); return the first nonzero column left, or None when vec
-    lies in the span of the block."""
-    for j, x in enumerate(vec):
-        if x.is_zero():
-            continue
-        row = block.get(j)
-        if row is None:
-            return j
-        for t in range(j, len(vec)):
-            rv = row[t]
-            if not rv.is_zero():
-                vec[t] = vec[t] - x * rv
-    return None
-
-
 def burnside_irreducibility(rep: SpecializedRep):
     """(span_dim, irreducible): dimension over Q(omega_d) of the algebra
     generated by the complex reflections s_i^2, and whether it is all of M_n.
@@ -370,7 +355,8 @@ def burnside_irreducibility(rep: SpecializedRep):
     representation is irreducible.  The algebra is closed from the identity
     under left products, in row blocks: s_i^2 - 1 is nonzero in matrix row
     i - 1 only, so a candidate s_i^2 b - b lives in that one row, and one
-    echelon form of length-n rows is kept per matrix row a (the space V_a).
+    ``linalg.Echelon`` of length-n rows is kept per matrix row a (the space
+    V_a).
     The identity is never reduced.  The span S = span(I) + V_0 + ... +
     V_{n-1} contains I, and s_i^2 b - b lies in V for every explored b, so S
     is closed under left products and is the algebra.  I lies in V exactly
@@ -382,7 +368,7 @@ def burnside_irreducibility(rep: SpecializedRep):
     one = CycloNum.one(d)
     zero = CycloNum.zero(d)
     nsq = n * n
-    blocks = [{} for _ in range(n)]
+    blocks = [linalg.Echelon() for _ in range(n)]
     rank = 0
     reflections = rep.reflection_rows()
     worklist = deque([linalg.identity(n, one, zero)])
@@ -403,16 +389,12 @@ def burnside_irreducibility(rep: SpecializedRep):
                 for t, x in enumerate(b[col]):
                     if not x.is_zero():
                         delta[t] = delta[t] + coeff * x
-            vec = list(delta)
-            j = _reduce(blocks[idx], vec)
-            if j is None:
+            if blocks[idx].insert(list(delta)) is None:
                 continue
-            inv = vec[j].inverse()
-            blocks[idx][j] = [v * inv for v in vec]
             rank += 1
             row = tuple(x + y for x, y in zip(b[idx], delta))
             worklist.append(b[:idx] + (row,) + b[idx + 1:])
-    units = all(_reduce(blocks[a], [one if t == a else zero for t in range(n)])
+    units = all(blocks[a].reduce([one if t == a else zero for t in range(n)])
                 is None for a in range(n))
     span_dim = rank if units else rank + 1
     return span_dim, span_dim == nsq

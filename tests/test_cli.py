@@ -216,6 +216,27 @@ class TestExitCodes:
         assert "--out" in doc["error"]
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv, text", [
+        (["matrix", "--n", "abc"], "--n"),
+        (["bogus"], "bogus"),
+        ([], "command"),
+        (["matrix", "--n", "2", "--word", "s1", "--basis", "foo"], "--basis"),
+    ], ids=["non_integer_n", "unknown_command", "no_arguments", "bad_basis"])
+    def test_argument_error_is_2(self, capsys, argv, text):
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        doc = check_doc(captured.err)
+        assert doc["kind"] == "validation"
+        assert text in doc["error"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--help"])
+        assert exc.value.code == 0
+        assert "usage: braidrep matrix" in capsys.readouterr().out
+
     def test_invariant_failure_is_3(self, monkeypatch):
         # an internal identity failure must exit 3 with a reproducer attached
         from braidrep import cli

@@ -40,13 +40,21 @@ class TestCycloArithmetic:
 
     def test_inverse(self):
         rng = random.Random(0)
-        for d in (2, 3, 4, 5, 7, 8, 12, 18):
+        # large phi(d) (8, 32, 48, 64) gets a few samples each
+        cases = [(d, 20) for d in (2, 3, 4, 5, 7, 8, 12, 18)]
+        cases += [(30, 5), (64, 3), (105, 2), (128, 2)]
+        for d, samples in cases:
             deg = len(cyclotomic_polynomial(d)) - 1
-            for _ in range(20):
+            for _ in range(samples):
                 a = CycloNum(d, tuple(rng.randint(-3, 3) for _ in range(deg)),
                              rng.randint(1, 5))
                 if a.is_zero():
                     continue
+                assert a * a.inverse() == CycloNum.one(d)
+            for q in (Fraction(1), Fraction(-1), Fraction(7, 2),
+                      Fraction(-3, 4)):
+                a = CycloNum.from_fraction(d, q)
+                assert a.inverse() == CycloNum.from_fraction(d, 1 / q)
                 assert a * a.inverse() == CycloNum.one(d)
 
     def test_conjugation_is_involution(self):
