@@ -70,9 +70,6 @@ class Echelon:
     def __init__(self):
         self.rows = {}
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def reduce(self, vec: list):
         """Reduce vec in place; return its first nonzero column left, or
         None when vec lies in the span of the rows."""
@@ -169,7 +166,7 @@ def kernel_basis(rows: list, one) -> list:
     ech = Echelon()
     for r in rows:
         ech.insert(list(r))
-        if len(ech) == ncols:
+        if len(ech.rows) == ncols:
             return []
     ech.back_substitute()
     zero = one - one
