@@ -7,7 +7,10 @@ content).  Products of specialization values are the hot path, so the common
 denominator-1 case avoids all gcd work.
 
 The inverse is the Galois norm formula a^-1 = prod_{f != 1} sigma_f(a) /
-N(a): integer Galois twists and products only, no polynomial Euclid.
+N(a): integer Galois twists and products only, no polynomial Euclid.  The
+cofactor prod_{f != 1} sigma_f(a) is built by doubling along a generator
+tower of the units mod d (cached per order), in O(log phi(d)) twists and
+products.
 
 Specialization of Laurent polynomials (Xi -> omega_d^{k_i}) and numeric
 embeddings (w -> e^{2*pi*i*f/d}) live here too.
@@ -31,9 +34,11 @@ def cyclotomic_polynomial(d: int) -> tuple:
 
 
 class _Context:
-    """Per-order tables: Phi_d, reduction rows, and all powers of omega."""
+    """Per-order tables: Phi_d, reduction rows, all powers of omega, and a
+    generator tower of the units mod d."""
 
-    __slots__ = ("d", "deg", "phi_poly", "reduce_rows", "omega_pows")
+    __slots__ = ("d", "deg", "phi_poly", "reduce_rows", "omega_pows",
+                 "unit_tower")
 
     def __init__(self, d: int):
         self.d = d
@@ -75,6 +80,25 @@ class _Context:
             pows.append(tuple(nxt))
             cur = nxt
         self.omega_pows = pows
+        self.unit_tower = _unit_tower(d)
+
+
+def _unit_tower(d: int) -> tuple:
+    """((g_1, m_1), ..., (g_r, m_r)): the units mod d are the products
+    g_1^i_1 ... g_r^i_r with 0 <= i_j < m_j, each exactly once; m_j is the
+    order of g_j modulo the subgroup generated by g_1..g_{j-1}."""
+    subgroup = {1 % d}
+    tower = []
+    for g in range(2, d):
+        if _int_gcd(g, d) != 1 or g in subgroup:
+            continue
+        m, x = 1, g
+        while x not in subgroup:
+            x = x * g % d
+            m += 1
+        subgroup = {pow(g, i, d) * h % d for i in range(m) for h in subgroup}
+        tower.append((g, m))
+    return tuple(tower)
 
 
 def _compute_cyclotomic(d: int) -> tuple:
@@ -252,15 +276,35 @@ class CycloNum:
         With A = den * a (integer coefficients) and C = prod_{f != 1}
         sigma_f(A) over the units f mod d, N = A * C is fixed by every
         sigma_f, so it is a rational integer, and a^-1 = den * C / N.
+
+        C is built along the context's unit tower.  With P_H the product of
+        sigma_h(A) over a subgroup H, and G = <g> H where g has order m
+        modulo H: C_G = C_H * sigma_g(Q_{m-1}) and P_G = P_H *
+        sigma_g(Q_{m-1}), with Q_L = prod_{i < L} sigma_{g^i}(P_H) found by
+        doubling (Q_2L = Q_L * sigma_{g^L}(Q_L)).  That is O(sum log m_j)
+        twists and products instead of phi(d) - 1.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         d = self.d
         a = CycloNum._raw(d, self.num, 1)
-        cofactor = CycloNum.one(d)
-        for f in range(2, d):
-            if _int_gcd(f, d) == 1:
-                cofactor = cofactor * a.galois(f)
+        tower = _context(d).unit_tower
+        cofactor = None
+        p_h = a
+        for step, (g, m) in enumerate(tower):
+            q, length = p_h, 1
+            for bit in bin(m - 1)[3:]:
+                q = q * q.galois(pow(g, length, d))
+                length *= 2
+                if bit == "1":
+                    q = p_h * q.galois(g)
+                    length += 1
+            twisted = q.galois(g)
+            cofactor = twisted if cofactor is None else cofactor * twisted
+            if step + 1 < len(tower):
+                p_h = p_h * twisted
+        if cofactor is None:
+            cofactor = CycloNum.one(d)
         norm = (a * cofactor).num
         if any(norm[1:]):
             raise InvariantError(

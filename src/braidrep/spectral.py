@@ -12,7 +12,11 @@ only).  The identity is never reduced;
 it adds one dimension unless every block holds its own unit vector.  In the
 degenerate case the unipotent commutator is built once per call, and its
 flag unipotency is proved from the pure generators rather than sampled over
-conjugates.
+conjugates.  No elimination runs on that path: inverse matrices (A_rs^-1,
+the inverse sub-twist) are specialized from the cached symbolic matrices of
+the inverse words, whose entries are Laurent, and the basis (w, eps_2, ...,
+eps_n) differs from the standard one in one vector, so a matrix is rewritten
+in it by a rank-one update with one ``CycloNum`` inverse, 1 / w_1.
 """
 
 from __future__ import annotations
@@ -87,9 +91,14 @@ class SpecializedRep:
         return self.generator_matrices[(r, s)]
 
     def matrix_inverse(self, r: int, s: int) -> tuple:
+        """A_rs^-1, specialized from the cached symbolic matrix of the
+        inverse word (Laurent entries), so no elimination runs."""
         inv = self._inverses.get((r, s))
         if inv is None:
-            inv = linalg.mat_inverse(self.generator_matrices[(r, s)])
+            word = pure_generator(r, s, self.strands).inverse()
+            inv = specialize_matrix(
+                _symbolic_word_matrix(("pure_inverse", self.strands, r, s),
+                                      word), self.d, self.k)
             self._inverses[(r, s)] = inv
         return inv
 
@@ -216,35 +225,55 @@ def _assert_subtwist_scalar(m2: tuple, rep: SpecializedRep, p: int):
     return c
 
 
+def _subtwist2(rep: SpecializedRep, p: int) -> tuple:
+    """(m2, m2^-1): Delta'^2 and its inverse on rep, Delta' the full twist
+    on strands 2..p, each specialized from the cached symbolic matrix of its
+    word."""
+    delta2 = full_twist(2, p, rep.strands) ** 2
+    m2 = _symbolic_word_matrix(("subtwist2", rep.strands, p), delta2)
+    m2inv = _symbolic_word_matrix(("subtwist2_inverse", rep.strands, p),
+                                  delta2.inverse())
+    return (specialize_matrix(m2, rep.d, rep.k),
+            specialize_matrix(m2inv, rep.d, rep.k))
+
+
 def _commutator(rep: SpecializedRep, p: int) -> tuple:
     """u = [s_1^2, Delta'^2] on rep, with Delta' the full twist on strands
-    2..p (p <= rep.strands)."""
-    delta2 = full_twist(2, p, rep.strands) ** 2
-    m2 = specialize_matrix(
-        _symbolic_word_matrix(("subtwist2", rep.strands, p), delta2),
-        rep.d, rep.k)
+    2..p (p <= rep.strands).  Both inverses are specialized from the symbolic
+    matrices of the inverse words, so no elimination runs."""
+    m2, m2inv = _subtwist2(rep, p)
     _assert_subtwist_scalar(m2, rep, p)
-    m1 = rep.matrix(1, 2)
     return linalg.mat_mul(
-        linalg.mat_mul(m1, m2),
-        linalg.mat_mul(rep.matrix_inverse(1, 2), linalg.mat_inverse(m2)))
+        linalg.mat_mul(rep.matrix(1, 2), m2),
+        linalg.mat_mul(rep.matrix_inverse(1, 2), m2inv))
 
 
 def _adapted_basis(rep: SpecializedRep) -> tuple:
-    """(c, c^-1), where the columns of c are (w, eps_2, ..., eps_n) and
-    w = rep.invariant_coords(); c is invertible since w_1 = 1 - t_1 != 0."""
-    n = rep.dim
-    one = CycloNum.one(rep.d)
-    zero = CycloNum.zero(rep.d)
+    """(w, 1/w_1) for the basis (w, eps_2, ..., eps_n), w =
+    rep.invariant_coords(); w_1 = 1 - t_1 != 0, so these vectors are a
+    basis."""
     w = rep.invariant_coords()
-    c = tuple(tuple(w[a] if j == 0 else (one if a == j else zero)
-                    for j in range(n)) for a in range(n))
-    return c, linalg.mat_inverse(c)
+    return w, w[0].inverse()
 
 
 def _in_basis(m: tuple, basis: tuple) -> tuple:
-    c, cinv = basis
-    return linalg.mat_mul(cinv, linalg.mat_mul(m, c))
+    """c^-1 m c, where the columns of c are (w, eps_2, ..., eps_n).
+
+    c differs from the identity in column 0 only, so c^-1 y = (a, y_2 -
+    a w_2, ..., y_n - a w_n) with a = y_1 / w_1, and the columns of m c are
+    m w followed by m's own columns 2..n: O(n^2) products, no elimination.
+    """
+    w, winv = basis
+    cols = [linalg.mat_vec(m, w)] + list(zip(*m))[1:]
+    out = []
+    for y in cols:
+        a = y[0] * winv
+        if a.is_zero():
+            out.append(y)
+        else:
+            out.append((a,) + tuple(yi - a * wi
+                                    for yi, wi in zip(y[1:], w[1:])))
+    return tuple(zip(*out))
 
 
 def _check_degenerate_block(d: int, k: tuple, p: int):

@@ -1,12 +1,18 @@
 """CLI dispatch, JSON schema round trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from braidrep.cli import (
+    COMMANDS,
     MAX_N,
     MAX_SWEEP_N,
     build_parser,
@@ -25,6 +31,8 @@ def _schema():
 
 SCHEMA = _schema()
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+SWEEP_ROW_VALIDATOR = jsonschema.Draft202012Validator(
+    {"$ref": "#/$defs/sweep_row", "$defs": SCHEMA["$defs"]})
 
 
 def run_cli(argv):
@@ -371,3 +379,123 @@ class TestDeterminism:
         assert first == second
         for code, _ in first:
             assert code == 0
+
+
+# -- fuzzing --------------------------------------------------------------------
+
+# values beyond a budget or malformed, drawn for any flag one time in four
+HOSTILE = {
+    "n": ["-1", "0", "x", "2.5", "", str(MAX_N + 1), "1000000"],
+    "d": ["-1", "0", "1", "x", "", str(MAX_D + 1), "1000003"],
+    "k": ["", ",", "1,,2", "a,b", "1;2", "1, 2", "0,1", "-1,2",
+          "1,1,1,1,1,1,1,1,1,1"],
+    "f": ["-5", "0", "x", ""],
+    "word": ["s0", "s9", "A 4 2", "A", "T 1", "x", "s", "s1^", "^2",
+             "s1^31", "s1^10^3", "-s1"],
+    "basis": ["foo", ""],
+    "seed": ["z", "-3"],
+    "cap": ["-1", "x", "2"],
+    "out": ["DIR", "MISSING/out.json"],
+}
+# each token has at most 4 letters on up to 6 strands
+WORD_TOKENS = ["s1", "s2^-1", "s3^2", "s5", "A 1 2", "A 2 4", "T 1 3",
+               "T 2 3", "s1^-2"]
+SPEC_COMMANDS = ("specialize", "spectral", "decompose", "dm", "classify",
+                 "signature")
+
+
+@st.composite
+def _fuzz_call(draw):
+    """(argv, config lines): a command, its flags with plausible values
+    (sweep: n <= 3, d <= 4; others: n <= 5, words <= 8 letters, at most 6
+    weights), each flag hostile one time in four, an unknown command now
+    and then, and optionally some flags moved into a --config file."""
+    command = draw(st.sampled_from(COMMANDS + ("bogus",)))
+    sweep = command == "sweep"
+    d = draw(st.sampled_from([2, 3, 4] if sweep else
+                             [2, 3, 4, 5, 6, 7, 12, 18, MAX_D]))
+    strands = draw(st.integers(2, 4 if sweep else 6))
+    plausible = {
+        "n": st.integers(0 if sweep else 1, strands - 1).map(str),
+        "d": st.just(str(d)),
+        "k": st.lists(st.integers(1, d - 1), min_size=strands,
+                      max_size=strands).map(lambda ks: ",".join(map(str, ks))),
+        "f": st.integers(1, d).map(str),
+        "word": st.lists(st.sampled_from(WORD_TOKENS), min_size=0,
+                         max_size=2).map(" ".join),
+        "basis": st.sampled_from(["reduced", "unreduced"]),
+        "seed": st.sampled_from(["0", "7"]),
+        # a sweep is bounded by --cap; no value here admits d > 4
+        "cap": st.sampled_from(["3", "4"]),
+        "out": st.just("OUT"),
+    }
+
+    # sampled_from leans to its first element, so plausible comes first
+    def value(key):
+        if draw(st.sampled_from([False, False, False, True])):
+            return draw(st.sampled_from(HOSTILE[key]))
+        return draw(plausible[key])
+
+    if command in SPEC_COMMANDS:
+        wanted = ["d", "k", "f"]
+    elif sweep:
+        wanted = ["d", "n", "cap"]
+    else:
+        wanted = ["n", "word", "basis"]
+    keys = [key for key in wanted
+            if draw(st.sampled_from([True] * 7 + [False]))]
+    keys += draw(st.lists(st.sampled_from(sorted(HOSTILE)), max_size=2))
+    flags = [(key, value(key)) for key in dict.fromkeys(keys)]
+    config = None
+    if draw(st.booleans()):
+        moved = draw(st.integers(0, len(flags)))
+        config = [f"{key}={val}" for key, val in flags[:moved]]
+        config += draw(st.lists(st.sampled_from(
+            ["# comment", "", "no equals sign", "bogus=1"]), max_size=1))
+        flags = flags[moved:]
+    argv = [command]
+    for key, val in flags:
+        argv += [f"--{key}", val]
+    return argv, config
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(call=_fuzz_call())
+    def test_any_argv_ends_in_json(self, call, tmp_path_factory):
+        """Every argv exits 0, 2 or 3 with a schema-valid body: stdout (or
+        the --out file) on success, stderr otherwise."""
+        argv, config = call
+        tmp = tmp_path_factory.mktemp("fuzz")
+        paths = {"OUT": str(tmp / "out.json"), "DIR": str(tmp),
+                 "MISSING/out.json": str(tmp / "missing" / "out.json")}
+        if config is not None:
+            lines = []
+            for line in config:
+                key, eq, val = line.partition("=")
+                lines.append(key + eq + paths.get(val, val) + "\n")
+            cfg = tmp / "job.cfg"
+            cfg.write_text("".join(lines))
+            argv = argv + ["--config", str(cfg)]
+        argv = [paths.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), argv
+        if code != 0:
+            assert out.getvalue() == ""
+            assert check_doc(err.getvalue())["kind"] in (
+                "validation", "invariant")
+            return
+        assert err.getvalue() == ""
+        body = out.getvalue()
+        if os.path.exists(paths["OUT"]):
+            assert body == ""
+            with open(paths["OUT"]) as fh:
+                body = fh.read()
+        if argv[0] == "sweep":
+            for line in body.splitlines():
+                SWEEP_ROW_VALIDATOR.validate(json.loads(line))
+        else:
+            assert check_doc(body)["command"] == argv[0]

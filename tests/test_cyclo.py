@@ -9,6 +9,7 @@ import pytest
 
 from braidrep.cyclo import (
     CycloNum,
+    _context,
     cyclotomic_polynomial,
     embed_numeric,
     specialize_poly,
@@ -56,6 +57,46 @@ class TestCycloArithmetic:
                 a = CycloNum.from_fraction(d, q)
                 assert a.inverse() == CycloNum.from_fraction(d, 1 / q)
                 assert a * a.inverse() == CycloNum.one(d)
+
+    def test_inverse_matches_plain_norm_product(self):
+        # the tower-built cofactor against prod_{f != 1} sigma_f(A), one
+        # twist per unit, at every d <= 12 and at large phi(d)
+        rng = random.Random(3)
+        orders = list(range(1, 13)) + [16, 30, 64, 105, 128]
+        for d in orders:
+            deg = len(cyclotomic_polynomial(d)) - 1
+            samples = 4 if deg <= 12 else 2
+            for _ in range(samples):
+                den = rng.randint(1, 5)
+                num = tuple(rng.randint(-3, 3) for _ in range(deg))
+                if not any(num):
+                    num = (1,) + num[1:]
+                a = CycloNum(d, num, den)
+                whole = CycloNum(d, a.num)
+                cofactor = CycloNum.one(d)
+                for f in range(2, d):
+                    if gcd(f, d) == 1:
+                        cofactor = cofactor * whole.galois(f)
+                norm = whole * cofactor
+                assert not any(norm.num[1:]), d
+                plain = cofactor * CycloNum.from_fraction(
+                    d, Fraction(a.den, norm.num[0]))
+                assert a.inverse() == plain, (d, a)
+
+    def test_unit_tower_covers_each_unit_once(self):
+        for d in list(range(1, 13)) + [16, 30, 64, 105, 128]:
+            tower = _context(d).unit_tower
+            products = {1 % d}
+            for g, m in tower:
+                assert m >= 2
+                products = {pow(g, i, d) * h % d
+                            for i in range(m) for h in products}
+            units = {f % d for f in range(1, d + 1) if gcd(f, d) == 1}
+            assert products == units, d
+            size = 1
+            for _, m in tower:
+                size *= m
+            assert size == len(units), d
 
     def test_conjugation_is_involution(self):
         rng = random.Random(1)

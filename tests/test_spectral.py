@@ -234,6 +234,63 @@ def _block_unipotent_oracle(m, w, d):
             and all(b[i][j] == (one if i == j else zero) for i, j in diag))
 
 
+def _dense_in_basis(m, w):
+    """Reference for spectral._in_basis: c^-1 m c with the dense basis
+    matrix c = (w, eps_2, ..., eps_n) and its eliminated inverse."""
+    c = _w_basis(w, w[0].d)
+    return linalg.mat_mul(linalg.mat_inverse(c), linalg.mat_mul(m, c))
+
+
+def _c07_small_extensions():
+    """Every (d, k + (e,)) of the C07 slice with d <= 4: p = len(k) in
+    3..5, d | sum(k), e any unit."""
+    for d in (2, 3, 4):
+        units = coprime_units(d)
+        for p in (3, 4, 5):
+            for k in itertools.product(units, repeat=p):
+                if sum(k) % d == 0:
+                    for e in units:
+                        yield d, k + (e,)
+
+
+class TestRankOneBasis:
+    def test_in_basis_matches_dense(self):
+        checked = 0
+        for d, k in _c07_small_extensions():
+            p = len(k) - 1
+            rep = specialize_rep(d, k)
+            w = rep.invariant_coords()
+            basis = spectral._adapted_basis(rep)
+            mats = [spectral._commutator(rep, p)]
+            mats += [rep.matrix(*key) for key in sorted(rep.generator_matrices)]
+            for m in mats:
+                assert spectral._in_basis(m, basis) == _dense_in_basis(m, w), \
+                    (d, k)
+            checked += 1
+        assert checked == 53
+
+    def test_symbolic_inverses(self):
+        # A_rs A_rs^-1 = 1 and Delta'^2 (Delta'^2)^-1 = 1, both inverses
+        # specialized from the inverse words
+        rng = random.Random(4)
+        for d in range(2, 7):
+            units = coprime_units(d)
+            for strands in range(3, 7):
+                for _ in range(2):
+                    k = tuple(rng.choice(units) for _ in range(strands))
+                    rep = specialize_rep(d, k)
+                    ident = linalg.identity(rep.dim, CycloNum.one(d),
+                                            CycloNum.zero(d))
+                    for r, s in rep.generator_matrices:
+                        prod = linalg.mat_mul(rep.matrix(r, s),
+                                              rep.matrix_inverse(r, s))
+                        assert linalg.mat_eq(prod, ident), (d, k, r, s)
+                    for p in range(3, strands + 1):
+                        m2, m2inv = spectral._subtwist2(rep, p)
+                        assert linalg.mat_eq(linalg.mat_mul(m2, m2inv),
+                                             ident), (d, k, p)
+
+
 class TestFlagUnipotencyOracle:
     def test_random_conjugates_block_unipotent(self):
         # seeded random pure words in A_rs (2 <= r < s <= p) and their
