@@ -268,11 +268,7 @@ def _in_basis(m: tuple, basis: tuple) -> tuple:
     out = []
     for y in cols:
         a = y[0] * winv
-        if a.is_zero():
-            out.append(y)
-        else:
-            out.append((a,) + tuple(yi - a * wi
-                                    for yi, wi in zip(y[1:], w[1:])))
+        out.append((a,) + tuple(yi - a * wi for yi, wi in zip(y[1:], w[1:])))
     return tuple(zip(*out))
 
 
