@@ -1,9 +1,11 @@
 """CLI dispatch, JSON schema round trips, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import shlex
 from importlib import resources
 
 import jsonschema
@@ -379,6 +381,42 @@ class TestDeterminism:
         assert first == second
         for code, _ in first:
             assert code == 0
+
+
+class TestGoldenDigests:
+    """The sha256 of stdout for a fixed set of commands, pinned: a change
+    that keeps the CLI's answers keeps these bytes.  A digest may only be
+    updated together with a documented change of the output."""
+
+    GOLDEN = [
+        ("spectral --d 2 --k 1,1,1,1,1,1",
+         "faeca57d1b6fc5b5a714b3f221bf9c0ac04099811cfaf6340c2f0cb057e4c7b8"),
+        ("spectral --d 3 --k 1,1,1,1,1,1,1",
+         "8bb178dc33673ffc606c765c06a1b8b561b7158843bf21258146e63fb33760e2"),
+        ("spectral --d 128 --k 1,3,5,7,9,11,13,15,17",
+         "ebcdf86317ed4c47fe6127dbfcccfbb8672b3a5fcbeabb5339353ebc608b1528"),
+        ("specialize --d 12 --k 1,5,7,11",
+         "6cb90e6b6f7336c1d49df226ad9f17e619a2eccd933d6a4b871a7a3d5fd67a5a"),
+        ("form --n 4",
+         "c191cf1a31c0ecb6f618ea0b2e54918446531d99f6a2215ed45791151d7212fb"),
+        ("matrix --n 3 --word 'T 1 4' --basis unreduced",
+         "dff051dcc8aae579dfaf9bcb547003d2973501b92f278f945ed8f2fd98454e0e"),
+        ("classify --d 5 --k 1,2,3,4,1",
+         "be93fd74060440603646dfe9b8ed4ad30f449b4512fcf75220be8dd4f54968c8"),
+        ("signature --d 18 --k 1,1,1,1",
+         "7eee0351543e65de3c102cb32a2cead181319164c8ab125c080f063fb8079390"),
+        ("decompose --d 12 --k 1,5,7,11",
+         "efaf06c1baca86d4081bc0dea4ffad8a39c92fd1dd8ebbf031f085420d8b7f40"),
+        ("sweep --d 4 --n 3",
+         "bf924fdfe3a22c4e7e6338a4310b680d5187d489a688b19bba66f6af38378899"),
+    ]
+
+    @pytest.mark.parametrize("command, digest", GOLDEN,
+                             ids=[c for c, _ in GOLDEN])
+    def test_stdout_digest(self, command, digest, capsys):
+        assert main(shlex.split(command)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- fuzzing --------------------------------------------------------------------
