@@ -4,7 +4,7 @@ Subpackages by theme:
 
 - ``laurent`` / ``cyclo``: exact rings (multivariate Laurent polynomials over
   Z, their fraction field, cyclotomic numbers).
-- ``braid``: braid words, pure-braid generators, full twists, permutations.
+- ``braid``: braid words, pure-braid generators, half twists, permutations.
 - ``artin``: the braid action on a free group and the semidirect-product
   evaluation that derives unreduced matrices from first principles.
 - ``gassner``: the reduced / unreduced crossed-homomorphism matrices and the

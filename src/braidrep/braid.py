@@ -1,4 +1,4 @@
-"""Braid words, permutation images, pure-braid generators, full twists.
+"""Braid words, permutation images, pure-braid generators, half twists.
 
 A word is a sequence of signed generator indices: +i stands for s_i, -i for
 s_i^-1, with 1 <= i <= strands-1.  No rewriting or normal forms happen here;
@@ -120,7 +120,7 @@ class BraidWord:
 
 
 # The most letters (after expanding powers, A and T) parse_word accepts; 30
-# is the full twist squared on 6 strands.  Symbolic cost grows fast with it.
+# is the full twist Delta^2 on 6 strands.  Symbolic cost grows fast with it.
 MAX_WORD_LENGTH = 30
 
 
@@ -130,7 +130,7 @@ def parse_word(strands: int, text: str) -> BraidWord:
     Grammar (whitespace separated):
       ``s<i>`` or ``s<i>^<k>``      generator power (k may be negative)
       ``A <r> <s>``                 pure-braid generator A_{rs}
-      ``T <a> <b>``                 full twist on the strand interval [a, b]
+      ``T <a> <b>``                 half twist Delta on the strand interval [a, b]
 
     A word over MAX_WORD_LENGTH letters is rejected before it is built.
     """

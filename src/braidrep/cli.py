@@ -19,11 +19,10 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from math import gcd as _int_gcd
 
 from . import hermitian, spectral, topology
 from .braid import parse_word
-from .cyclo import MAX_D
+from .cyclo import MAX_D, units
 from .errors import InvariantError, ValidationError
 from .gassner import evaluate_word
 from .topology import CoverSpec
@@ -228,9 +227,8 @@ def _cmd_signature(config: JobConfig) -> dict:
 def sweep_jobs(d_max: int, n_max: int):
     """Deterministic enumeration of (d, n, k) jobs, sorted."""
     for d in range(2, d_max + 1):
-        units = [u for u in range(1, d) if _int_gcd(u, d) == 1]
         for n in range(1, n_max + 1):
-            for k in itertools.product(units, repeat=n + 1):
+            for k in itertools.product(units(d), repeat=n + 1):
                 yield d, n, k
 
 
@@ -350,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="embedding exponent, coprime to d")
         p.add_argument("--word", type=str, default=None,
                        help="braid word: tokens s<i>, s<i>^<p>, 'A r s', 'T a b'")
-        p.add_argument("--basis", type=str, default="reduced",
+        p.add_argument("--basis", type=str, default=None,
                        choices=("reduced", "unreduced"))
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=int, default=None,
                        help="reserved: accepted, read by no command")
         p.add_argument("--out", type=str, default=None,
                        help="write output to this path instead of stdout")
-        p.add_argument("--cap", type=int, default=6,
+        p.add_argument("--cap", type=int, default=None,
                        help="largest d a sweep may request")
         p.add_argument("--config", type=str, default=None,
                        help="key=value file; explicit flags win over the file")
@@ -374,10 +372,9 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         if unknown:
             raise ValidationError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-        defaults = {"basis": "reduced", "seed": 0, "cap": 6}
         for key, raw in file_values.items():
-            # flags win: only fill in values the command line left at default
-            if values.get(key) not in (None, defaults.get(key)):
+            # flags win: the file fills in only the flags that were not given
+            if values[key] is not None:
                 continue
             if key in ("n", "d", "f", "seed", "cap"):
                 try:
@@ -387,9 +384,11 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
                         f"config key '{key}' expects an integer, got '{raw}'")
             else:
                 values[key] = raw
-    if isinstance(values.get("k"), str):
+    if isinstance(values["k"], str):
         values["k"] = _parse_k(values["k"])
-    return JobConfig(command=args.command, **values)
+    # a value still None is left to JobConfig, the one place defaults live
+    return JobConfig(command=args.command,
+                     **{key: v for key, v in values.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -46,40 +46,26 @@ class _Context:
         self.phi_poly = poly
         deg = len(poly) - 1
         self.deg = deg
-        # x^(deg+j) mod Phi_d for j = 0 .. deg-2, as integer rows
-        rows = []
-        if deg:
-            rows.append(tuple(-poly[i] for i in range(deg)))  # x^deg
-            for _ in range(deg - 2):
-                prev = rows[-1]
-                row = [0] * deg
-                for i in range(deg - 1):
-                    row[i + 1] += prev[i]
-                c = prev[deg - 1]
-                if c:
-                    first = rows[0]
-                    for i in range(deg):
-                        row[i] += c * first[i]
-                rows.append(tuple(row))
-        self.reduce_rows = rows
         # omega^m for 0 <= m < d
         pows = []
         cur = [0] * deg
         if deg:
             cur[0] = 1
         pows.append(tuple(cur))
+        top = tuple(-c for c in poly[:deg])  # x^deg mod Phi_d
         for _ in range(d - 1):
             nxt = [0] * deg
             for i in range(deg - 1):
                 nxt[i + 1] += cur[i]
             c = cur[deg - 1] if deg else 0
             if c:
-                first = rows[0]
                 for i in range(deg):
-                    nxt[i] += c * first[i]
+                    nxt[i] += c * top[i]
             pows.append(tuple(nxt))
             cur = nxt
         self.omega_pows = pows
+        # x^(deg+j) mod Phi_d for j = 0 .. deg-2: powers of omega again
+        self.reduce_rows = [pows[(deg + j) % d] for j in range(deg - 1)]
         self.unit_tower = _unit_tower(d)
 
 
@@ -89,8 +75,8 @@ def _unit_tower(d: int) -> tuple:
     order of g_j modulo the subgroup generated by g_1..g_{j-1}."""
     subgroup = {1 % d}
     tower = []
-    for g in range(2, d):
-        if _int_gcd(g, d) != 1 or g in subgroup:
+    for g in units(d):
+        if g in subgroup:
             continue
         m, x = 1, g
         while x not in subgroup:
@@ -99,6 +85,12 @@ def _unit_tower(d: int) -> tuple:
         subgroup = {pow(g, i, d) * h % d for i in range(m) for h in subgroup}
         tower.append((g, m))
     return tuple(tower)
+
+
+def units(d: int) -> tuple:
+    """The units mod d as residues in 0..d-1, ascending; there are phi(d)
+    of them (units(1) = (0,))."""
+    return tuple(u for u in range(d) if _int_gcd(u, d) == 1)
 
 
 def _compute_cyclotomic(d: int) -> tuple:
@@ -486,6 +478,11 @@ def specialize_poly(a, d: int, k: tuple) -> CycloNum:
     if isinstance(a, LaurentPoly):
         return _specialize_laurent(a, d, k)
     raise TypeError(f"cannot specialize {type(a).__name__}")
+
+
+def specialize_matrix(mat: tuple, d: int, k: tuple) -> tuple:
+    """``specialize_poly`` entry by entry: a matrix over Q(omega_d)."""
+    return tuple(tuple(specialize_poly(x, d, k) for x in row) for row in mat)
 
 
 def _specialize_laurent(a: LaurentPoly, d: int, k: tuple) -> CycloNum:

@@ -31,7 +31,7 @@ from math import gcd as _int_gcd
 
 from . import linalg
 from .braid import BraidWord
-from .cyclo import check_spec_weights, specialize_poly
+from .cyclo import check_spec_weights, specialize_matrix, units
 from .errors import InvariantError, ValidationError
 from .gassner import assert_polynomial_entries, evaluate_word
 from .laurent import LaurentPoly, RationalFunction, _div_exact
@@ -191,8 +191,7 @@ def specialize_form(d: int, k: tuple) -> tuple:
     """
     k = tuple(k)
     check_spec_weights(d, k)
-    h = form_matrix(len(k))
-    return tuple(tuple(specialize_poly(x, d, k) for x in row) for row in h)
+    return specialize_matrix(form_matrix(len(k)), d, k)
 
 
 def is_degenerate(d: int, k: tuple) -> bool:
@@ -239,8 +238,7 @@ def signature_report(d: int, k: tuple) -> list:
     Raises if the form is degenerate (then no embedding has a signature).
     """
     out = []
-    for f in range(1, d):
-        if _int_gcd(f, d) == 1:
-            p, q = signature(d, k, f)
-            out.append({"f": f, "p": p, "q": q})
+    for f in units(d):
+        p, q = signature(d, k, f)
+        out.append({"f": f, "p": p, "q": q})
     return out

@@ -1,31 +1,37 @@
 """Root-of-unity specializations and the degenerate-case structure.
 
-The symbolic reduced matrices of the pure generators are cached per strand
-count (they do not depend on the weights), so specializing a representation
-is one cheap monomial-evaluation pass.  The heavy predicate here is the
-span-closure irreducibility test (Burnside: the reflections s_i^2 generate
-M_n exactly when the representation is irreducible).  s_i^2 - 1 is nonzero
-in one row only, so the closure works in row blocks: n independent
-``linalg.Echelon`` forms of length-n rows, one per matrix row.  An inserted
-row costs one ``CycloNum`` inverse (the Galois norm, integer arithmetic
-only).  The identity is never reduced;
-it adds one dimension unless every block holds its own unit vector.  In the
-degenerate case the unipotent commutator is built once per call, and its
-flag unipotency is proved from the pure generators rather than sampled over
+The symbolic reduced matrix of a pure word is cached by the word (it does
+not depend on the weights), and ``SpecializedRep.word_matrix`` specializes
+it once per representation: one cheap monomial-evaluation pass.  The heavy
+predicate here is the span-closure irreducibility test (Burnside: the
+reflections s_i^2 generate M_n exactly when the representation is
+irreducible).  s_i^2 - 1 is nonzero in one row only, so the closure works in
+row blocks: n independent ``linalg.Echelon`` forms of length-n rows, one per
+matrix row.  An inserted row costs one ``CycloNum`` inverse (the Galois norm,
+integer arithmetic only).  The identity is never reduced; it adds one
+dimension unless every block holds its own unit vector.  In the degenerate
+case the unipotent commutator is built once per call, and its flag
+unipotency is proved from the pure generators rather than sampled over
 conjugates.  No elimination runs on that path: inverse matrices (A_rs^-1,
-the inverse sub-twist) are specialized from the cached symbolic matrices of
-the inverse words, whose entries are Laurent, and the basis (w, eps_2, ...,
-eps_n) differs from the standard one in one vector, so a matrix is rewritten
-in it by a rank-one update with one ``CycloNum`` inverse, 1 / w_1.
+the inverse sub-twist) are the matrices of the inverse words, whose entries
+are Laurent, and the basis (w, eps_2, ..., eps_n) differs from the standard
+one in one vector, so a matrix is rewritten in it by a rank-one update with
+one ``CycloNum`` inverse, 1 / w_1.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 
 from . import linalg
-from .braid import full_twist, pure_generator
-from .cyclo import CycloNum, check_spec_weights, specialize_poly
+from .braid import BraidWord, full_twist, pure_generator
+from .cyclo import (
+    CycloNum,
+    check_spec_weights,
+    specialize_matrix,
+    specialize_poly,
+)
 from .errors import InvariantError, ValidationError
 from .gassner import (
     assert_polynomial_entries,
@@ -35,72 +41,63 @@ from .gassner import (
 )
 
 
-# -- symbolic caches (depend on the strand count only) -----------------------
+# -- the symbolic cache (a matrix depends on the word only) -------------------
 
 _symbolic_pure: dict = {}
-_symbolic_words: dict = {}
 
 
-def _symbolic_pure_matrices(strands: int) -> dict:
-    """(r, s) -> reduced LaurentPoly matrix of A_{rs}."""
-    cached = _symbolic_pure.get(strands)
+def _symbolic_matrix(word: BraidWord) -> tuple:
+    """The reduced LaurentPoly matrix of a pure word, evaluated once."""
+    cached = _symbolic_pure.get(word)
     if cached is None:
-        cached = {}
-        for r in range(1, strands):
-            for s in range(r + 1, strands + 1):
-                word = pure_generator(r, s, strands)
-                cached[(r, s)] = assert_polynomial_entries(
-                    evaluate_word(word, "reduced"), f"A_{r}{s} reduced")
-        _symbolic_pure[strands] = cached
+        tm = evaluate_word(word, "reduced")
+        if not tm.is_linear():
+            raise ValidationError(
+                f"'{word}' permutes the strands; only pure words have a "
+                "specialized matrix")
+        cached = assert_polynomial_entries(tm, f"{word} reduced")
+        _symbolic_pure[word] = cached
     return cached
-
-
-def _symbolic_word_matrix(key, word) -> tuple:
-    cached = _symbolic_words.get(key)
-    if cached is None:
-        cached = assert_polynomial_entries(
-            evaluate_word(word, "reduced"), str(key))
-        _symbolic_words[key] = cached
-    return cached
-
-
-def specialize_matrix(mat: tuple, d: int, k: tuple) -> tuple:
-    return tuple(tuple(specialize_poly(x, d, k) for x in row) for row in mat)
 
 
 class SpecializedRep:
-    """All reduced pure-generator matrices at X_i -> omega_d^{k_i}."""
+    """Reduced pure-word matrices at X_i -> omega_d^{k_i}.  The pure
+    generators A_rs are specialized up front; any other pure word on first
+    use, by ``word_matrix``."""
 
     __slots__ = ("strands", "d", "k", "t", "generator_matrices",
-                 "_inverses", "_reflection_rows")
+                 "_words", "_reflection_rows")
 
-    def __init__(self, strands: int, d: int, k: tuple, generator_matrices: dict):
-        self.strands = strands
+    def __init__(self, d: int, k: tuple):
+        self.strands = len(k)
         self.d = d
         self.k = tuple(k)
         self.t = tuple(CycloNum.omega_power(d, ki) for ki in k)
-        self.generator_matrices = generator_matrices
-        self._inverses = {}
+        self._words = {}
         self._reflection_rows = None
+        self.generator_matrices = {
+            (r, s): self.word_matrix(pure_generator(r, s, self.strands))
+            for r in range(1, self.strands)
+            for s in range(r + 1, self.strands + 1)}
 
     @property
     def dim(self) -> int:
         return self.strands - 1
 
+    def word_matrix(self, word: BraidWord) -> tuple:
+        """The specialized matrix of a pure word, from the symbolic cache;
+        entries are Laurent, so inverse words need no elimination."""
+        mat = self._words.get(word)
+        if mat is None:
+            mat = specialize_matrix(_symbolic_matrix(word), self.d, self.k)
+            self._words[word] = mat
+        return mat
+
     def matrix(self, r: int, s: int) -> tuple:
         return self.generator_matrices[(r, s)]
 
     def matrix_inverse(self, r: int, s: int) -> tuple:
-        """A_rs^-1, specialized from the cached symbolic matrix of the
-        inverse word (Laurent entries), so no elimination runs."""
-        inv = self._inverses.get((r, s))
-        if inv is None:
-            word = pure_generator(r, s, self.strands).inverse()
-            inv = specialize_matrix(
-                _symbolic_word_matrix(("pure_inverse", self.strands, r, s),
-                                      word), self.d, self.k)
-            self._inverses[(r, s)] = inv
-        return inv
+        return self.word_matrix(pure_generator(r, s, self.strands).inverse())
 
     def reflection_rows(self) -> list:
         """Per reflection i: the one nonzero row of s_i^2 - 1, as
@@ -126,10 +123,8 @@ class SpecializedRep:
         return self._reflection_rows
 
     def central_scalar(self) -> CycloNum:
-        prod = CycloNum.one(self.d)
-        for ti in self.t:
-            prod = prod * ti
-        return prod
+        """t_1 ... t_{n+1}."""
+        return CycloNum.omega_power(self.d, sum(self.k))
 
     def is_degenerate(self) -> bool:
         return sum(self.k) % self.d == 0
@@ -137,21 +132,14 @@ class SpecializedRep:
     def invariant_coords(self) -> tuple:
         """(1 - t_1...t_i) for i = 1..n: the candidate fixed vector."""
         one = CycloNum.one(self.d)
-        out = []
-        prod = one
-        for i in range(self.dim):
-            prod = prod * self.t[i]
-            out.append(one - prod)
-        return tuple(out)
+        return tuple(one - CycloNum.omega_power(self.d, m)
+                     for m in accumulate(self.k[:self.dim]))
 
 
 def specialize_rep(d: int, k: tuple) -> SpecializedRep:
     k = tuple(k)
     check_spec_weights(d, k)
-    strands = len(k)
-    sym = _symbolic_pure_matrices(strands)
-    mats = {key: specialize_matrix(m, d, k) for key, m in sym.items()}
-    return SpecializedRep(strands, d, k, mats)
+    return SpecializedRep(d, k)
 
 
 # -- pigeonhole blocks --------------------------------------------------------
@@ -207,9 +195,7 @@ def all_unit_subintervals(d: int, k: tuple, lo: int, hi: int) -> list:
 
 def _assert_subtwist_scalar(m2: tuple, rep: SpecializedRep, p: int):
     """Delta'^2 must act on eps_2..eps_{p-1} by the scalar t_2...t_p."""
-    c = CycloNum.one(rep.d)
-    for i in range(1, p):
-        c = c * rep.t[i]
+    c = CycloNum.omega_power(rep.d, sum(rep.k[1:p]))
     n = len(m2)
     inside = range(1, min(p - 1, n))
     for a in inside:
@@ -226,19 +212,14 @@ def _assert_subtwist_scalar(m2: tuple, rep: SpecializedRep, p: int):
 
 
 def _subtwist2(rep: SpecializedRep, p: int) -> tuple:
-    """(m2, m2^-1): Delta'^2 and its inverse on rep, Delta' the full twist
-    on strands 2..p, each specialized from the cached symbolic matrix of its
-    word."""
+    """(m2, m2^-1): Delta'^2 and its inverse on rep, Delta' the half twist
+    on strands 2..p."""
     delta2 = full_twist(2, p, rep.strands) ** 2
-    m2 = _symbolic_word_matrix(("subtwist2", rep.strands, p), delta2)
-    m2inv = _symbolic_word_matrix(("subtwist2_inverse", rep.strands, p),
-                                  delta2.inverse())
-    return (specialize_matrix(m2, rep.d, rep.k),
-            specialize_matrix(m2inv, rep.d, rep.k))
+    return rep.word_matrix(delta2), rep.word_matrix(delta2.inverse())
 
 
 def _commutator(rep: SpecializedRep, p: int) -> tuple:
-    """u = [s_1^2, Delta'^2] on rep, with Delta' the full twist on strands
+    """u = [s_1^2, Delta'^2] on rep, with Delta' the half twist on strands
     2..p (p <= rep.strands).  Both inverses are specialized from the symbolic
     matrices of the inverse words, so no elimination runs."""
     m2, m2inv = _subtwist2(rep, p)
@@ -472,16 +453,9 @@ def degeneracy_agreement(d: int, k: tuple) -> dict:
 
 def central_scalar_matches(d: int, k: tuple) -> bool:
     """rho(Delta^2) specialized equals (t_1...t_{n+1}) * identity."""
-    k = tuple(k)
-    check_spec_weights(d, k)
-    strands = len(k)
-    word = delta_squared(strands)
-    mat = specialize_matrix(
-        _symbolic_word_matrix(("delta2", strands), word), d, k)
-    rep_scalar = CycloNum.one(d)
-    for ki in k:
-        rep_scalar = rep_scalar * CycloNum.omega_power(d, ki)
-    return scalar_matrix_check(mat, rep_scalar)
+    rep = specialize_rep(d, k)
+    return scalar_matrix_check(rep.word_matrix(delta_squared(rep.strands)),
+                               rep.central_scalar())
 
 
 def burau_matches_gassner_at_ones(strands: int, d: int) -> bool:

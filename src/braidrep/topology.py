@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd as _int_gcd
 
-from .cyclo import check_spec_weights, specialize_poly
+from .cyclo import check_spec_weights, specialize_poly, units
 from .errors import InvariantError, ValidationError
 from .laurent import LaurentPoly
 
@@ -55,11 +55,7 @@ class CoverSpec:
 
 
 def totient(m: int) -> int:
-    out = 0
-    for a in range(1, m + 1):
-        if _int_gcd(a, m) == 1:
-            out += 1
-    return out
+    return len(units(m))
 
 
 def kernel_ranks(spec: CoverSpec) -> dict:
@@ -354,7 +350,6 @@ def classify(spec: CoverSpec) -> Classification:
             continue
         spec_e = CoverSpec(spec.n, e, tuple(ki % e for ki in spec.k))
         reports[str(e)] = [dm_report(spec_e, f).to_json()
-                           for f in range(1, e)
-                           if _int_gcd(f, e) == 1]
+                           for f in units(e)]
     return Classification(spec=spec, verdict=INCONCLUSIVE,
                           evidence={"dm_reports": reports})

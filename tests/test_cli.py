@@ -336,6 +336,32 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(text)["f"] == 5
 
+    def test_flag_at_its_default_wins(self, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("basis=unreduced\n")
+        code, text = run_cli(["matrix", "--n", "1", "--word", "s1",
+                              "--basis", "reduced", "--config", str(cfg)])
+        assert code == 0
+        doc = check_doc(text)
+        assert doc["basis"] == "reduced"
+        assert len(doc["matrix"]) == 1  # the reduced basis has n rows
+
+    def test_cap_flag_at_its_default_wins(self, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("cap=2\n")
+        code, text = run_cli(["sweep", "--d", "3", "--n", "1", "--cap", "6",
+                              "--config", str(cfg)])
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 4  # d = 2 and d = 3 at n = 1
+
+    def test_file_cap_applies_without_the_flag(self, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("cap=2\n")
+        code, text = run_cli(["sweep", "--d", "3", "--n", "1",
+                              "--config", str(cfg)])
+        assert code == 2
+        assert "sweep cap exceeded" in json.loads(text)["error"]
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("bogus=1\n")

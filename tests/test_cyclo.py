@@ -12,7 +12,9 @@ from braidrep.cyclo import (
     _context,
     cyclotomic_polynomial,
     embed_numeric,
+    specialize_matrix,
     specialize_poly,
+    units,
 )
 from braidrep.errors import ValidationError
 from braidrep.laurent import LaurentPoly, RationalFunction
@@ -82,6 +84,29 @@ class TestCycloArithmetic:
                 plain = cofactor * CycloNum.from_fraction(
                     d, Fraction(a.den, norm.num[0]))
                 assert a.inverse() == plain, (d, a)
+
+    def test_units_are_the_coprime_residues(self):
+        assert units(1) == (0,)
+        assert units(2) == (1,)
+        assert units(12) == (1, 5, 7, 11)
+        for d in range(1, 129):
+            assert len(units(d)) == len(cyclotomic_polynomial(d)) - 1, d
+            assert units(d) == tuple(f % d for f in range(1, d + 1)
+                                     if gcd(f, d) == 1), d
+
+    def test_reduce_rows_are_powers_of_omega(self):
+        # row j is x^(deg + j) mod Phi_d, built here by repeated
+        # multiplication by x
+        for d in list(range(3, 31)) + [64, 105, 128]:
+            ctx = _context(d)
+            deg = ctx.deg
+            top = [-c for c in ctx.phi_poly[:deg]]
+            cur = list(top)
+            for j in range(deg - 1):
+                assert tuple(cur) == ctx.reduce_rows[j], (d, j)
+                carry = cur[-1]
+                cur = [0] + cur[:-1]
+                cur = [a + carry * b for a, b in zip(cur, top)]
 
     def test_unit_tower_covers_each_unit_once(self):
         for d in list(range(1, 13)) + [16, 30, 64, 105, 128]:
@@ -195,6 +220,15 @@ class TestSpecialization:
         with pytest.raises(ValidationError) as ei:
             specialize_poly(r, 3, (1, 1))
         assert "vanishes" in str(ei.value)
+
+    def test_matrix_entry_by_entry(self):
+        x1 = LaurentPoly.variable(2, 1)
+        x2 = RationalFunction.variable(2, 2)
+        mat = ((x1, 1 - x1), (1 / (1 - x2), x1 * x1))
+        out = specialize_matrix(mat, 3, (1, 2))
+        assert out == tuple(tuple(specialize_poly(x, 3, (1, 2)) for x in row)
+                            for row in mat)
+        assert out[0][0] == CycloNum.omega_power(3, 1)
 
     def test_non_coprime_weight_rejected(self):
         x1 = LaurentPoly.variable(2, 1)

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from braidrep import linalg, spectral
-from braidrep.braid import full_twist
+from braidrep.braid import BraidWord, full_twist, pure_generator
 from braidrep.cyclo import CycloNum, specialize_poly
 from braidrep.errors import ValidationError
 from braidrep.gassner import evaluate_word
@@ -48,6 +48,36 @@ class TestSpecializeRep:
         assert central_scalar_matches(3, (1, 1, 2))
         rep = specialize_rep(3, (1, 1, 2))
         assert rep.central_scalar() == CycloNum.omega_power(3, 1)
+
+    def test_word_matrix_is_the_product_of_generators(self):
+        # an independent route: multiply the specialized generator matrices
+        # and their inverses along a random word of pure generators
+        rng = random.Random(5)
+        for _ in range(6):
+            d = rng.choice([3, 4, 5, 6])
+            strands = rng.randint(3, 5)
+            k = tuple(rng.choice(coprime_units(d)) for _ in range(strands))
+            rep = specialize_rep(d, k)
+            word = BraidWord(strands)
+            expected = linalg.identity(rep.dim, CycloNum.one(d),
+                                       CycloNum.zero(d))
+            for _ in range(3):
+                r = rng.randint(1, strands - 1)
+                s = rng.randint(r + 1, strands)
+                g = pure_generator(r, s, strands)
+                if rng.random() < 0.5:
+                    word, m = word * g.inverse(), rep.matrix_inverse(r, s)
+                else:
+                    word, m = word * g, rep.matrix(r, s)
+                expected = linalg.mat_mul(expected, m)
+            assert linalg.mat_eq(rep.word_matrix(word), expected), (d, k)
+            assert rep.word_matrix(word) is rep.word_matrix(word)
+            assert word in spectral._symbolic_pure
+
+    def test_word_matrix_rejects_a_permuting_word(self):
+        rep = specialize_rep(3, (1, 1, 1))
+        with pytest.raises(ValidationError, match="pure"):
+            rep.word_matrix(full_twist(1, 3, 3))
 
     def test_two_strand_degenerate_scalar(self):
         # n=1, d=2, k=(1,1): s_1^2 acts by t1 t2 = 1
