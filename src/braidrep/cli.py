@@ -372,18 +372,17 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         if unknown:
             raise ValidationError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key, raw in file_values.items():
+        # the file's values pass the parser's own type and choice checks
+        try:
+            parsed = build_parser().parse_args(
+                [args.command] + [f"--{key}={raw}"
+                                  for key, raw in file_values.items()])
+        except ValidationError as exc:
+            raise ValidationError(f"--config '{args.config}': {exc}")
+        for key in file_values:
             # flags win: the file fills in only the flags that were not given
-            if values[key] is not None:
-                continue
-            if key in ("n", "d", "f", "seed", "cap"):
-                try:
-                    values[key] = int(raw)
-                except ValueError:
-                    raise ValidationError(
-                        f"config key '{key}' expects an integer, got '{raw}'")
-            else:
-                values[key] = raw
+            if values[key] is None:
+                values[key] = getattr(parsed, key)
     if isinstance(values["k"], str):
         values["k"] = _parse_k(values["k"])
     # a value still None is left to JobConfig, the one place defaults live

@@ -467,6 +467,19 @@ def specialize_poly(a, d: int, k: tuple) -> CycloNum:
     denominator must not vanish at the specialization.
     """
     check_weights(d, k)
+    return _specialize_entry(a, d, k)
+
+
+def specialize_matrix(mat: tuple, d: int, k: tuple) -> tuple:
+    """``specialize_poly`` entry by entry, with the weights checked once: a
+    matrix over Q(omega_d)."""
+    check_weights(d, k)
+    return tuple(tuple(_specialize_entry(x, d, k) for x in row)
+                 for row in mat)
+
+
+def _specialize_entry(a, d: int, k: tuple) -> CycloNum:
+    """``specialize_poly`` for weights already checked."""
     if isinstance(a, RationalFunction):
         den = _specialize_laurent(a.den, d, k)
         if den.is_zero():
@@ -478,11 +491,6 @@ def specialize_poly(a, d: int, k: tuple) -> CycloNum:
     if isinstance(a, LaurentPoly):
         return _specialize_laurent(a, d, k)
     raise TypeError(f"cannot specialize {type(a).__name__}")
-
-
-def specialize_matrix(mat: tuple, d: int, k: tuple) -> tuple:
-    """``specialize_poly`` entry by entry: a matrix over Q(omega_d)."""
-    return tuple(tuple(specialize_poly(x, d, k) for x in row) for row in mat)
 
 
 def _specialize_laurent(a: LaurentPoly, d: int, k: tuple) -> CycloNum:

@@ -10,13 +10,15 @@ row blocks: n independent ``linalg.Echelon`` forms of length-n rows, one per
 matrix row.  An inserted row costs one ``CycloNum`` inverse (the Galois norm,
 integer arithmetic only).  The identity is never reduced; it adds one
 dimension unless every block holds its own unit vector.  In the degenerate
-case the unipotent commutator is built once per call, and its flag
-unipotency is proved from the pure generators rather than sampled over
-conjugates.  No elimination runs on that path: inverse matrices (A_rs^-1,
-the inverse sub-twist) are the matrices of the inverse words, whose entries
-are Laurent, and the basis (w, eps_2, ..., eps_n) differs from the standard
-one in one vector, so a matrix is rewritten in it by a rank-one update with
-one ``CycloNum`` inverse, 1 / w_1.
+case the unipotent commutator u = [A, Delta'^2], A = A_12 = s_1^2, is built
+once per call as the rank-one update u = A + v y^T of A (A - 1 and A^-1 - 1
+live in row 0), and its flag unipotency is proved from the pure generators
+rather than sampled over conjugates.  No elimination and no matrix product
+runs on that path: inverse matrices (A_rs^-1, the inverse sub-twist) are the
+matrices of the inverse words, whose entries are Laurent, and the basis (w,
+eps_2, ..., eps_n) differs from the standard one in one vector, so a matrix
+is rewritten in it by a rank-one update with one ``CycloNum`` inverse,
+1 / w_1.
 """
 
 from __future__ import annotations
@@ -218,15 +220,50 @@ def _subtwist2(rep: SpecializedRep, p: int) -> tuple:
     return rep.word_matrix(delta2), rep.word_matrix(delta2.inverse())
 
 
+def _row_zero_update(m: tuple, rep: SpecializedRep, p: int) -> tuple:
+    """r with m = 1 + e_0 r^T, for m = A_12 or its inverse; raises
+    InvariantError unless rows 1..n-1 of m are identity rows."""
+    for a, row in enumerate(m[1:], 1):
+        for b, x in enumerate(row):
+            if not (x.is_one() if a == b else x.is_zero()):
+                raise InvariantError(
+                    "A_12 or its inverse differs from the identity outside "
+                    f"row 0 (entry [{a}][{b}] = {x})",
+                    reproducer={"op": "commutator", "d": rep.d,
+                                "k": list(rep.k), "p": p})
+    return (m[0][0] - CycloNum.one(rep.d),) + m[0][1:]
+
+
 def _commutator(rep: SpecializedRep, p: int) -> tuple:
-    """u = [s_1^2, Delta'^2] on rep, with Delta' the half twist on strands
-    2..p (p <= rep.strands).  Both inverses are specialized from the symbolic
-    matrices of the inverse words, so no elimination runs."""
+    """u = [s_1^2, Delta'^2] = A m2 A^-1 m2^-1 on rep, with A = A_12 = s_1^2,
+    m2 = Delta'^2 and Delta' the half twist on strands 2..p (p <=
+    rep.strands).
+
+    s_1^2 - 1 lives in row 0, so A - 1 = e_0 r^T and A^-1 - 1 = e_0 s^T.  With
+    c = m2 e_0, v = A c = c + (r^T c) e_0 and y^T = s^T m2^-1, u = A (1 + c
+    y^T) = A + v y^T: about n^2 + 3n products and no matrix product.  A^-1
+    and m2^-1 are specialized from the symbolic matrices of the inverse
+    words, so no elimination runs.
+    """
     m2, m2inv = _subtwist2(rep, p)
     _assert_subtwist_scalar(m2, rep, p)
-    return linalg.mat_mul(
-        linalg.mat_mul(rep.matrix(1, 2), m2),
-        linalg.mat_mul(rep.matrix_inverse(1, 2), m2inv))
+    a = rep.matrix(1, 2)
+    r = _row_zero_update(a, rep, p)
+    s = _row_zero_update(rep.matrix_inverse(1, 2), rep, p)
+    zero = CycloNum.zero(rep.d)
+    c = [row[0] for row in m2]
+    rc = zero
+    for rb, cb in zip(r, c):
+        if not rb.is_zero():
+            rc = rc + rb * cb
+    v = [c[0] + rc] + c[1:]
+    y = [zero] * len(a)
+    for sb, row in zip(s, m2inv):
+        if not sb.is_zero():
+            y = [yj + sb * x for yj, x in zip(y, row)]
+    return tuple(row if vi.is_zero() else
+                 tuple(x + vi * yj for x, yj in zip(row, y))
+                 for row, vi in zip(a, v))
 
 
 def _adapted_basis(rep: SpecializedRep) -> tuple:
@@ -267,7 +304,8 @@ def _check_degenerate_block(d: int, k: tuple, p: int):
 
 def _checked_commutator(d: int, k: tuple) -> tuple:
     """(rep, u) for unipotent_commutator; raises InvariantError unless u is
-    a nontrivial 2-step unipotent."""
+    a nontrivial 2-step unipotent.  The dense u != 1 and (u - 1)^2 = 0 checks
+    do not use the rank-one form of u, so they check its construction."""
     k = tuple(k)
     p = len(k)
     _check_degenerate_block(d, k, p)

@@ -362,6 +362,22 @@ class TestConfigFile:
         assert code == 2
         assert "sweep cap exceeded" in json.loads(text)["error"]
 
+    @pytest.mark.parametrize("content, text", [
+        ("basis=foo\n", "invalid choice"),
+        ("n=1\nseed=x\n", "invalid int"),
+    ], ids=["bad_basis", "bad_seed"])
+    def test_file_values_pass_the_flag_checks(self, tmp_path, capsys,
+                                              content, text):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(content)
+        rc = main(["form", "--n", "1", "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        doc = check_doc(captured.err)
+        assert doc["kind"] == "validation"
+        assert text in doc["error"] and "--config" in doc["error"]
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("bogus=1\n")

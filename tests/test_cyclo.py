@@ -230,6 +230,30 @@ class TestSpecialization:
                             for row in mat)
         assert out[0][0] == CycloNum.omega_power(3, 1)
 
+    def test_matrix_checks_weights_once(self, monkeypatch):
+        from braidrep import cyclo
+
+        x1 = LaurentPoly.variable(2, 1)
+        x2 = RationalFunction.variable(2, 2)
+        mat = ((x1, 1 - x1, x1), (1 / (1 - x2), x1 * x1, x2))
+        calls = []
+        real = cyclo.check_weights
+        monkeypatch.setattr(cyclo, "check_weights",
+                            lambda d, k: calls.append(k) or real(d, k))
+        specialize_matrix(mat, 3, (1, 2))
+        assert calls == [(1, 2)]
+
+    def test_matrix_errors_match_entry_errors(self):
+        x1 = LaurentPoly.variable(2, 1)
+        r1 = RationalFunction.variable(2, 1)
+        bad_den = ((x1, 1 / (1 + r1 + r1 * r1)),)
+        for mat, d, k in [(((x1,),), 4, (2, 1)), (bad_den, 3, (1, 1))]:
+            with pytest.raises(ValidationError) as entry:
+                specialize_poly(mat[0][-1], d, k)
+            with pytest.raises(ValidationError) as whole:
+                specialize_matrix(mat, d, k)
+            assert str(whole.value) == str(entry.value)
+
     def test_non_coprime_weight_rejected(self):
         x1 = LaurentPoly.variable(2, 1)
         with pytest.raises(ValidationError):

@@ -9,7 +9,7 @@ import pytest
 from braidrep import linalg, spectral
 from braidrep.braid import BraidWord, full_twist, pure_generator
 from braidrep.cyclo import CycloNum, specialize_poly
-from braidrep.errors import ValidationError
+from braidrep.errors import InvariantError, ValidationError
 from braidrep.gassner import evaluate_word
 from braidrep.hermitian import is_degenerate, specialize_form
 from braidrep.spectral import (
@@ -319,6 +319,101 @@ class TestRankOneBasis:
                         m2, m2inv = spectral._subtwist2(rep, p)
                         assert linalg.mat_eq(linalg.mat_mul(m2, m2inv),
                                              ident), (d, k, p)
+
+
+def _dense_commutator(rep, p):
+    """Reference for spectral._commutator: the triple product A_12 m2
+    (A_12^-1 m2^-1) of dense matrix products, m2 = Delta'^2 on strands
+    2..p."""
+    m2, m2inv = spectral._subtwist2(rep, p)
+    return linalg.mat_mul(
+        linalg.mat_mul(rep.matrix(1, 2), m2),
+        linalg.mat_mul(rep.matrix_inverse(1, 2), m2inv))
+
+
+def _seeded_degenerate_reps(seed):
+    """(d, k, p) with d = 2..9, p = 3..5 and d | k_1 + ... + k_p: six draws
+    per feasible (d, p) cell, each once as is and once with an extra
+    strand."""
+    rng = random.Random(seed)
+    for d in range(2, 10):
+        units = coprime_units(d)
+        for p in (3, 4, 5):
+            ks = [k for k in itertools.product(units, repeat=p)
+                  if sum(k) % d == 0]
+            if not ks:
+                continue  # p odd with d even: every weight is odd
+            for _ in range(6):
+                k = rng.choice(ks)
+                yield d, k, p
+                yield d, k + (rng.choice(units),), p
+
+
+class TestRankOneCommutator:
+    def test_matches_dense_on_c07_extensions(self):
+        checked = 0
+        for d, kk in _c07_small_extensions():
+            k = kk[:-1]
+            p = len(k)
+            for rep in (specialize_rep(d, k), specialize_rep(d, kk)):
+                assert spectral._commutator(rep, p) == \
+                    _dense_commutator(rep, p), (d, rep.k)
+                checked += 1
+        assert checked == 2 * 53
+
+    def test_matches_dense_on_seeded_reps(self):
+        cells = set()
+        checked = 0
+        for d, k, p in _seeded_degenerate_reps(905):
+            rep = specialize_rep(d, k)
+            assert spectral._commutator(rep, p) == _dense_commutator(rep, p), \
+                (d, k, p)
+            cells.add((d, p, len(k) - p))
+            checked += 1
+        # p = 3 and 5 have no degenerate weights for even d
+        assert len(cells) == 2 * (4 * 3 + 4 * 1)
+        assert checked == 6 * len(cells)
+
+    def test_matrix_products(self, monkeypatch):
+        # the flag check runs none; unipotent_commutator runs one, its own
+        # (u - 1)^2 = 0 check
+        counts = {"mat_mul": 0, "mat_inverse": 0}
+        for name in counts:
+            real = getattr(linalg, name)
+
+            def counted(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        spectral._symbolic_pure.clear()  # evaluating the words runs none
+        assert flag_unipotency_check(5, (1, 2, 3, 4, 2))
+        assert counts == {"mat_mul": 0, "mat_inverse": 0}
+        unipotent_commutator(5, (1, 2, 3, 4))
+        assert counts == {"mat_mul": 1, "mat_inverse": 0}
+
+    def test_row_support_checked(self, monkeypatch):
+        # A_12 with a nonzero entry outside row 0 is not 1 + e_0 r^T
+        d, k = 3, (1, 1, 2, 2)
+        real = spectral.specialize_rep
+
+        def broken(d, k):
+            rep = real(d, k)
+            a = rep.generator_matrices[(1, 2)]
+            row = (a[1][0] + CycloNum.one(d),) + a[1][1:]
+            mats = dict(rep.generator_matrices)
+            mats[(1, 2)] = (a[0], row) + a[2:]
+            rep.generator_matrices = mats
+            return rep
+
+        monkeypatch.setattr(spectral, "specialize_rep", broken)
+        with pytest.raises(InvariantError, match="outside row 0") as ei:
+            unipotent_commutator(d, k)
+        repro = ei.value.reproducer
+        assert repro == {"op": "commutator", "d": d, "k": list(k), "p": 4}
+        with pytest.raises(InvariantError, match="outside row 0"):
+            spectral._commutator(spectral.specialize_rep(repro["d"], repro["k"]),
+                                 repro["p"])
 
 
 class TestFlagUnipotencyOracle:
