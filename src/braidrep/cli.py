@@ -1,10 +1,15 @@
 """Command-line front end: every operation as a subcommand with JSON output.
 
+``COMMANDS`` names each subcommand (handler ``_cmd_<name>``) and the flags
+it reads, besides ``--out``, ``--seed`` and ``--config``; the subparsers,
+``run`` and the ``--config`` keys are built from it, so any other flag or key
+is an argument error.
+
 Exit codes: 0 success, 2 precondition/validation failure (argument errors
 included), 3 internal mathematical invariant failure (a bug; the JSON error
 carries a minimal reproducer).  Output is deterministic: keys are sorted and
 sweep rows are emitted in sorted job order.  ``--seed`` is accepted but
-reserved; no command reads it.
+reserved; no command reads it.  A sweep has at most ``MAX_SWEEP_ROWS`` rows.
 
 Usage sketch:
     braidrep verify --n 3 --word "A 1 3"
@@ -27,14 +32,28 @@ from .errors import InvariantError, ValidationError
 from .gassner import evaluate_word
 from .topology import CoverSpec
 
-COMMANDS = ("matrix", "verify", "form", "specialize", "spectral",
-            "decompose", "dm", "classify", "signature", "sweep")
+# command -> the flags it reads; the handler is _cmd_<command>
+_SPEC = ("d", "k", "n")
+COMMANDS = {
+    "matrix": ("n", "word", "basis"),
+    "verify": ("n", "word"),
+    "form": ("n",),
+    "specialize": _SPEC,
+    "spectral": _SPEC,
+    "decompose": _SPEC,
+    "dm": ("d", "k", "f", "n"),
+    "classify": _SPEC,
+    "signature": ("d", "k", "f", "n"),
+    "sweep": ("d", "n"),
+}
+COMMON_FLAGS = ("out", "seed", "config")
 
 # Input budgets, checked as the input is read (d and the word length are
 # budgeted in cyclo.MAX_D and braid.MAX_WORD_LENGTH).  Symbolic matrices grow
 # fast with the strand count; a sweep has phi(d)^(n+1) rows per (d, n).
 MAX_N = 8              # n = strands - 1 for every command but sweep
 MAX_SWEEP_N = 5        # the largest n a sweep may request
+MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); --d 6 --n 5 (5833) takes ~80 s
 
 
 @dataclass
@@ -48,7 +67,6 @@ class JobConfig:
     basis: str = "reduced"
     seed: int = 0
     out: str | None = None
-    cap: int = 6
 
 
 def _dump(doc) -> str:
@@ -96,8 +114,6 @@ def _matrix_strings(matrix) -> list:
 def _cmd_matrix(config: JobConfig) -> dict:
     strands = _strands(config)
     _require(config, ("word",))
-    if config.basis not in ("reduced", "unreduced"):
-        raise ValidationError("--basis must be 'reduced' or 'unreduced'")
     w = parse_word(strands, config.word)
     tm = evaluate_word(w, config.basis)
     return {
@@ -249,45 +265,43 @@ def sweep_row(d: int, n: int, k: tuple) -> dict:
     }
 
 
-def _cmd_sweep(config: JobConfig, sink) -> None:
+def sweep_row_count(d_max: int, n_max: int) -> int:
+    """len(sweep_jobs(d_max, n_max)), the sum of phi(d)^(n+1) over the cells;
+    the count stops at the first d that takes it past MAX_SWEEP_ROWS."""
+    rows = 0
+    for d in range(2, d_max + 1):
+        phi = len(units(d))
+        rows += sum(phi ** (n + 1) for n in range(1, n_max + 1))
+        if rows > MAX_SWEEP_ROWS:
+            break
+    return rows
+
+
+def _cmd_sweep(config: JobConfig) -> str:
     d_max = config.d if config.d is not None else 0
     n_max = config.n if config.n is not None else 0
-    if d_max > config.cap:
-        raise ValidationError(
-            f"sweep cap exceeded: --d {d_max} > --cap {config.cap}")
     if d_max > MAX_D:
         raise ValidationError(
             f"sweep d={d_max} exceeds the budget MAX_D={MAX_D}")
     if n_max > MAX_SWEEP_N:
         raise ValidationError(
             f"sweep n={n_max} exceeds the budget MAX_SWEEP_N={MAX_SWEEP_N}")
-    for d, n, k in sweep_jobs(d_max, n_max):
-        sink.write(_dump_line(sweep_row(d, n, k)))
+    if sweep_row_count(d_max, n_max) > MAX_SWEEP_ROWS:
+        raise ValidationError(
+            f"sweep --d {d_max} --n {n_max} has more rows than the budget "
+            f"MAX_SWEEP_ROWS={MAX_SWEEP_ROWS}")
+    return "".join(_dump_line(sweep_row(d, n, k))
+                   for d, n, k in sweep_jobs(d_max, n_max))
 
 
 def run(config: JobConfig):
     """Dispatch a job; returns (exit_code, output_text)."""
-    import io
-
     try:
-        if config.command == "sweep":
-            buf = io.StringIO()
-            _cmd_sweep(config, buf)
-            return 0, buf.getvalue()
-        handler = {
-            "matrix": _cmd_matrix,
-            "verify": _cmd_verify,
-            "form": _cmd_form,
-            "specialize": _cmd_specialize,
-            "spectral": _cmd_spectral,
-            "decompose": _cmd_decompose,
-            "dm": _cmd_dm,
-            "classify": _cmd_classify,
-            "signature": _cmd_signature,
-        }.get(config.command)
-        if handler is None:
+        if config.command not in COMMANDS:
             raise ValidationError(f"unknown command '{config.command}'")
-        return 0, _dump(handler(config))
+        result = globals()[f"_cmd_{config.command}"](config)
+        # a sweep prints JSON lines, every other command one document
+        return 0, result if config.command == "sweep" else _dump(result)
     except ValidationError as exc:
         return 2, _dump({"error": str(exc), "kind": "validation"})
     except InvariantError as exc:
@@ -331,47 +345,46 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+# each flag's parser arguments; every flag defaults to None, so that
+# JobConfig is the one place defaults live
+_FLAGS = {
+    "n": dict(type=int, help="n (strands - 1); for sweep: the maximal n"),
+    "d": dict(type=int,
+              help="cyclotomic order / cover degree; for sweep: the maximal d"),
+    "k": dict(help="comma-separated weights k_1,...,k_{n+1}"),
+    "f": dict(type=int, help="embedding exponent, coprime to d"),
+    "word": dict(help="braid word: tokens s<i>, s<i>^<p>, 'A r s', 'T a b'"),
+    "basis": dict(choices=("reduced", "unreduced")),
+    "seed": dict(type=int, help="reserved: accepted, read by no command"),
+    "out": dict(help="write output to this path instead of stdout"),
+    "config": dict(help="key=value file; explicit flags win over the file"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="braidrep",
         description="Exact braid-group representation calculator with JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, flags in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None,
-                       help="n (strands - 1); for sweep: the maximal n")
-        p.add_argument("--d", type=int, default=None,
-                       help="cyclotomic order / cover degree; for sweep: the maximal d")
-        p.add_argument("--k", type=str, default=None,
-                       help="comma-separated weights k_1,...,k_{n+1}")
-        p.add_argument("--f", type=int, default=None,
-                       help="embedding exponent, coprime to d")
-        p.add_argument("--word", type=str, default=None,
-                       help="braid word: tokens s<i>, s<i>^<p>, 'A r s', 'T a b'")
-        p.add_argument("--basis", type=str, default=None,
-                       choices=("reduced", "unreduced"))
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved: accepted, read by no command")
-        p.add_argument("--out", type=str, default=None,
-                       help="write output to this path instead of stdout")
-        p.add_argument("--cap", type=int, default=None,
-                       help="largest d a sweep may request")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file; explicit flags win over the file")
+        for flag, kwargs in _FLAGS.items():
+            if flag in flags + COMMON_FLAGS:
+                p.add_argument(f"--{flag}", default=None, **kwargs)
     return parser
 
 
-_CONFIG_KEYS = ("n", "d", "k", "f", "word", "basis", "seed", "out", "cap")
-
-
 def config_from_args(args: argparse.Namespace) -> JobConfig:
-    values = {key: getattr(args, key) for key in _CONFIG_KEYS}
+    # every flag but --config itself may also come from the file
+    keys = COMMANDS[args.command] + ("out", "seed")
+    values = {key: getattr(args, key) for key in keys}
     if args.config:
         file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_CONFIG_KEYS)
-        if unknown:
+        unread = set(file_values) - set(keys)
+        if unread:
             raise ValidationError(
-                f"unknown config keys: {', '.join(sorted(unknown))}")
+                f"--config '{args.config}': keys not read by "
+                f"'{args.command}': {', '.join(sorted(unread))}")
         # the file's values pass the parser's own type and choice checks
         try:
             parsed = build_parser().parse_args(
@@ -383,7 +396,7 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
             # flags win: the file fills in only the flags that were not given
             if values[key] is None:
                 values[key] = getattr(parsed, key)
-    if isinstance(values["k"], str):
+    if isinstance(values.get("k"), str):
         values["k"] = _parse_k(values["k"])
     # a value still None is left to JobConfig, the one place defaults live
     return JobConfig(command=args.command,

@@ -100,19 +100,8 @@ def _compute_cyclotomic(d: int) -> tuple:
     num[d] = 1
     for e in range(1, d):
         if d % e == 0:
-            num = _poly_divide_exact(num, list(_compute_cyclotomic_cached(e)))
+            num = _poly_divide_exact(num, list(_context(e).phi_poly))
     return tuple(num)
-
-
-_cyclo_cache: dict = {}
-
-
-def _compute_cyclotomic_cached(d: int) -> tuple:
-    p = _cyclo_cache.get(d)
-    if p is None:
-        p = _compute_cyclotomic(d)
-        _cyclo_cache[d] = p
-    return p
 
 
 def _poly_divide_exact(num: list, den: list) -> list:

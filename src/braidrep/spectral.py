@@ -67,14 +67,13 @@ class SpecializedRep:
     generators A_rs are specialized up front; any other pure word on first
     use, by ``word_matrix``."""
 
-    __slots__ = ("strands", "d", "k", "t", "generator_matrices",
+    __slots__ = ("strands", "d", "k", "generator_matrices",
                  "_words", "_reflection_rows")
 
     def __init__(self, d: int, k: tuple):
         self.strands = len(k)
         self.d = d
         self.k = tuple(k)
-        self.t = tuple(CycloNum.omega_power(d, ki) for ki in k)
         self._words = {}
         self._reflection_rows = None
         self.generator_matrices = {
@@ -104,23 +103,17 @@ class SpecializedRep:
     def reflection_rows(self) -> list:
         """Per reflection i: the one nonzero row of s_i^2 - 1, as
         (idx, [(col, coeff)]) with idx = i - 1 and zero coefficients left
-        out."""
+        out.  It is read from A_{i,i+1} = s_i^2, whose other rows must be
+        identity rows."""
         if self._reflection_rows is None:
             rows = []
-            n = self.dim
-            one = CycloNum.one(self.d)
             for i in range(1, self.strands):
-                ti = self.t[i - 1]
-                ti1 = self.t[i]
-                idx = i - 1
-                entries = []
-                if idx - 1 >= 0:
-                    entries.append((idx - 1, ti * (one - ti1)))
-                entries.append((idx, ti * ti1 - one))
-                if idx + 1 < n:
-                    entries.append((idx + 1, one - ti))
-                rows.append((idx, [(col, c) for col, c in entries
-                                   if not c.is_zero()]))
+                row = _row_support(
+                    self.matrix(i, i + 1), i - 1,
+                    {"op": "reflection_rows", "d": self.d, "k": list(self.k),
+                     "i": i})
+                rows.append((i - 1, [(col, c) for col, c in enumerate(row)
+                                     if not c.is_zero()]))
             self._reflection_rows = rows
         return self._reflection_rows
 
@@ -220,18 +213,19 @@ def _subtwist2(rep: SpecializedRep, p: int) -> tuple:
     return rep.word_matrix(delta2), rep.word_matrix(delta2.inverse())
 
 
-def _row_zero_update(m: tuple, rep: SpecializedRep, p: int) -> tuple:
-    """r with m = 1 + e_0 r^T, for m = A_12 or its inverse; raises
-    InvariantError unless rows 1..n-1 of m are identity rows."""
-    for a, row in enumerate(m[1:], 1):
+def _row_support(m: tuple, idx: int, reproducer: dict) -> tuple:
+    """r with m = 1 + e_idx r^T: the one row of m - 1 that may be nonzero.
+    Raises InvariantError, carrying the caller's reproducer, unless every
+    other row of m is an identity row."""
+    for a, row in enumerate(m):
         for b, x in enumerate(row):
-            if not (x.is_one() if a == b else x.is_zero()):
+            if a != idx and not (x.is_one() if a == b else x.is_zero()):
                 raise InvariantError(
-                    "A_12 or its inverse differs from the identity outside "
-                    f"row 0 (entry [{a}][{b}] = {x})",
-                    reproducer={"op": "commutator", "d": rep.d,
-                                "k": list(rep.k), "p": p})
-    return (m[0][0] - CycloNum.one(rep.d),) + m[0][1:]
+                    f"matrix differs from the identity outside row {idx} "
+                    f"(entry [{a}][{b}] = {x})",
+                    reproducer=reproducer)
+    row = m[idx]
+    return row[:idx] + (row[idx] - 1,) + row[idx + 1:]
 
 
 def _commutator(rep: SpecializedRep, p: int) -> tuple:
@@ -248,8 +242,9 @@ def _commutator(rep: SpecializedRep, p: int) -> tuple:
     m2, m2inv = _subtwist2(rep, p)
     _assert_subtwist_scalar(m2, rep, p)
     a = rep.matrix(1, 2)
-    r = _row_zero_update(a, rep, p)
-    s = _row_zero_update(rep.matrix_inverse(1, 2), rep, p)
+    reproducer = {"op": "commutator", "d": rep.d, "k": list(rep.k), "p": p}
+    r = _row_support(a, 0, reproducer)
+    s = _row_support(rep.matrix_inverse(1, 2), 0, reproducer)
     zero = CycloNum.zero(rep.d)
     c = [row[0] for row in m2]
     rc = zero

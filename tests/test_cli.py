@@ -5,22 +5,29 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from braidrep import braid, cli, cyclo
 from braidrep.cli import (
     COMMANDS,
     MAX_N,
     MAX_SWEEP_N,
+    MAX_SWEEP_ROWS,
     build_parser,
     config_from_args,
     main,
     run,
+    sweep_jobs,
+    sweep_row_count,
 )
 from braidrep.braid import MAX_WORD_LENGTH
 from braidrep.cyclo import MAX_D
@@ -171,10 +178,6 @@ class TestSweep:
         assert code == 0
         assert text == ""
 
-    def test_cap(self):
-        code, text = run_cli(["sweep", "--d", "9", "--n", "2", "--cap", "6"])
-        assert code == 2
-
     def test_sorted_deterministic(self):
         _, a = run_cli(["sweep", "--d", "3", "--n", "2", "--seed", "0"])
         _, b = run_cli(["sweep", "--d", "3", "--n", "2", "--seed", "0"])
@@ -284,8 +287,8 @@ class TestBudgets:
         self._rejected(["spectral", "--d", "1000003", "--k", "1,2"],
                        capsys, "MAX_D")
         # rejected before any row is computed, not at the first d > MAX_D
-        self._rejected(["sweep", "--d", str(MAX_D + 1),
-                        "--cap", str(MAX_D + 1), "--n", "1"], capsys, "MAX_D")
+        self._rejected(["sweep", "--d", str(MAX_D + 1), "--n", "1"],
+                       capsys, "MAX_D")
         code, _ = run_cli(["decompose", "--d", str(MAX_D), "--k", "1,1"])
         assert code == 0
 
@@ -320,6 +323,115 @@ class TestBudgets:
         assert code == 0
         assert len(text.splitlines()) == MAX_SWEEP_N
 
+    def test_sweep_rows(self, capsys):
+        # 1 239 805 rows, then far more: each is refused at the count
+        for argv in (["sweep", "--d", "11", "--n", "5"],
+                     ["sweep", "--d", "128", "--n", "1"],
+                     ["sweep", "--d", str(MAX_D), "--n", str(MAX_SWEEP_N)]):
+            start = time.perf_counter()
+            self._rejected(argv, capsys, "MAX_SWEEP_ROWS")
+            assert time.perf_counter() - start < 1.0, argv
+        # d is checked before any order is counted
+        self._rejected(["sweep", "--d", "1000003", "--n", "1"], capsys,
+                       "MAX_D")
+
+    def test_sweep_row_count(self):
+        # the largest sweep of the former default --cap 6, and the golden one
+        assert sweep_row_count(6, 5) == 5833
+        assert sweep_row_count(4, 3) == 59
+        assert 5833 <= MAX_SWEEP_ROWS
+        for d in range(0, 8):
+            for n in range(0, 4):
+                assert sweep_row_count(d, n) == len(list(sweep_jobs(d, n)))
+        code, text = run_cli(["sweep", "--d", "4", "--n", "3"])
+        assert code == 0 and len(text.splitlines()) == 59
+
+
+class TestUnreadFlags:
+    """A command accepts only the flags it reads, on the command line and
+    in a --config file."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["classify", "--d", "18", "--k", "1,1,1,1", "--f", "7"], "--f"),
+        (["form", "--n", "3", "--word", "s1"], "--word"),
+        (["sweep", "--d", "3", "--n", "1", "--k", "1,1"], "--k"),
+        (["verify", "--n", "2", "--word", "s1^2", "--basis", "reduced"],
+         "--basis"),
+    ], ids=["classify_f", "form_word", "sweep_k", "verify_basis"])
+    def test_flag_is_2(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        doc = check_doc(captured.err)
+        assert doc["kind"] == "validation"
+        assert flag in doc["error"]
+        # without the unread flag the call runs
+        assert main(argv[:-2]) == 0
+
+    def test_config_key_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("f=7\n")
+        assert main(["classify", "--d", "18", "--k", "1,1,1,1",
+                     "--config", str(cfg)]) == 2
+        doc = check_doc(capsys.readouterr().err)
+        assert doc["kind"] == "validation"
+        assert "not read by 'classify': f" in doc["error"]
+
+    def test_accepted_pairs(self, capsys):
+        # every command reads its own flags plus --out, --seed and --config
+        pairs = {(name, flag) for name in COMMANDS
+                 for flag in _help_flags(name, capsys)}
+        assert len(pairs) == 58
+        assert pairs == {(name, f"--{flag}") for name, flags in COMMANDS.items()
+                         for flag in flags + ("out", "seed", "config")}
+
+
+def _help_flags(command, capsys) -> set:
+    """The long options that `braidrep <command> --help` lists, but --help."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return set(re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.M))
+
+
+def _readme_table(header: str) -> list:
+    """The body rows of the README table under `header`, as cell lists."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+class TestReadmeTables:
+    """The README's budget and flag tables say what the code does."""
+
+    def test_budgets(self):
+        modules = {"cli": cli, "cyclo": cyclo, "braid": braid}
+        seen = {}
+        for _, limit, checked_in in _readme_table(
+                "| budget | limit | checked in |"):
+            module, name = re.search(r"`(\w+)\.(MAX_\w+)`",
+                                     checked_in).groups()
+            seen[name] = int(limit)
+            assert getattr(modules[module], name) == int(limit), name
+        assert set(seen) == {"MAX_D", "MAX_N", "MAX_WORD_LENGTH",
+                             "MAX_SWEEP_N", "MAX_SWEEP_ROWS"}
+
+    def test_flags(self, capsys):
+        reads = {}
+        for commands, flags in _readme_table("| command | flags it reads |"):
+            names = re.findall(r"`([a-z]+)`", commands) or ["every command"]
+            for name in names:
+                reads[name] = set(re.findall(r"`(--[a-z]+)`", flags))
+        common = reads.pop("every command")
+        assert common == {"--out", "--seed", "--config"}
+        assert set(reads) == set(COMMANDS)
+        for name, flags in reads.items():
+            assert _help_flags(name, capsys) == flags | common, name
+
 
 class TestConfigFile:
     def test_file_supplies_values(self, tmp_path):
@@ -346,31 +458,36 @@ class TestConfigFile:
         assert doc["basis"] == "reduced"
         assert len(doc["matrix"]) == 1  # the reduced basis has n rows
 
-    def test_cap_flag_at_its_default_wins(self, tmp_path):
+    def test_sweep_flag_wins(self, tmp_path):
         cfg = tmp_path / "job.cfg"
-        cfg.write_text("cap=2\n")
-        code, text = run_cli(["sweep", "--d", "3", "--n", "1", "--cap", "6",
+        cfg.write_text("n=5\n")
+        code, text = run_cli(["sweep", "--d", "3", "--n", "1",
                               "--config", str(cfg)])
         assert code == 0
         assert len(text.splitlines()) == 1 + 4  # d = 2 and d = 3 at n = 1
 
-    def test_file_cap_applies_without_the_flag(self, tmp_path):
+    def test_file_sweep_value_applies_without_the_flag(self, tmp_path):
         cfg = tmp_path / "job.cfg"
-        cfg.write_text("cap=2\n")
-        code, text = run_cli(["sweep", "--d", "3", "--n", "1",
-                              "--config", str(cfg)])
+        cfg.write_text("n=1\n")
+        code, text = run_cli(["sweep", "--d", "3", "--config", str(cfg)])
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 4
+        # and the file's value is held to the sweep's row budget
+        cfg.write_text("n=5\n")
+        code, text = run_cli(["sweep", "--d", "11", "--config", str(cfg)])
         assert code == 2
-        assert "sweep cap exceeded" in json.loads(text)["error"]
+        assert "MAX_SWEEP_ROWS" in json.loads(text)["error"]
 
-    @pytest.mark.parametrize("content, text", [
-        ("basis=foo\n", "invalid choice"),
-        ("n=1\nseed=x\n", "invalid int"),
+    @pytest.mark.parametrize("argv, content, text", [
+        (["matrix", "--n", "1", "--word", "s1"], "basis=foo\n",
+         "invalid choice"),
+        (["form", "--n", "1"], "n=1\nseed=x\n", "invalid int"),
     ], ids=["bad_basis", "bad_seed"])
     def test_file_values_pass_the_flag_checks(self, tmp_path, capsys,
-                                              content, text):
+                                              argv, content, text):
         cfg = tmp_path / "job.cfg"
         cfg.write_text(content)
-        rc = main(["form", "--n", "1", "--config", str(cfg)])
+        rc = main(argv + ["--config", str(cfg)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -386,12 +503,12 @@ class TestConfigFile:
 
     def test_non_integer_value_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
-        cfg.write_text("cap=abc\n")
-        rc = main(["sweep", "--d", "2", "--n", "1", "--config", str(cfg)])
+        cfg.write_text("n=abc\n")
+        rc = main(["sweep", "--d", "2", "--config", str(cfg)])
         assert rc == 2
         doc = check_doc(capsys.readouterr().err)
         assert doc["kind"] == "validation"
-        assert "cap" in doc["error"]
+        assert "--n" in doc["error"]
 
     @pytest.mark.parametrize("content", [None, b"d=\xff\n"],
                              ids=["missing", "not_utf8"])
@@ -474,7 +591,6 @@ HOSTILE = {
              "s1^31", "s1^10^3", "-s1"],
     "basis": ["foo", ""],
     "seed": ["z", "-3"],
-    "cap": ["-1", "x", "2"],
     "out": ["DIR", "MISSING/out.json"],
 }
 # each token has at most 4 letters on up to 6 strands
@@ -490,7 +606,7 @@ def _fuzz_call(draw):
     (sweep: n <= 3, d <= 4; others: n <= 5, words <= 8 letters, at most 6
     weights), each flag hostile one time in four, an unknown command now
     and then, and optionally some flags moved into a --config file."""
-    command = draw(st.sampled_from(COMMANDS + ("bogus",)))
+    command = draw(st.sampled_from(tuple(COMMANDS) + ("bogus",)))
     sweep = command == "sweep"
     d = draw(st.sampled_from([2, 3, 4] if sweep else
                              [2, 3, 4, 5, 6, 7, 12, 18, MAX_D]))
@@ -505,8 +621,6 @@ def _fuzz_call(draw):
                          max_size=2).map(" ".join),
         "basis": st.sampled_from(["reduced", "unreduced"]),
         "seed": st.sampled_from(["0", "7"]),
-        # a sweep is bounded by --cap; no value here admits d > 4
-        "cap": st.sampled_from(["3", "4"]),
         "out": st.just("OUT"),
     }
 
@@ -519,7 +633,7 @@ def _fuzz_call(draw):
     if command in SPEC_COMMANDS:
         wanted = ["d", "k", "f"]
     elif sweep:
-        wanted = ["d", "n", "cap"]
+        wanted = ["d", "n"]
     else:
         wanted = ["n", "word", "basis"]
     keys = [key for key in wanted

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep.cyclo import (
+    MAX_D,
     CycloNum,
     _context,
     cyclotomic_polynomial,
@@ -33,6 +34,20 @@ class TestCyclotomicPolynomials:
         phis = {5: 4, 7: 6, 8: 4, 9: 6, 18: 6, 24: 8}
         for d, phi in phis.items():
             assert len(cyclotomic_polynomial(d)) - 1 == phi
+
+    def test_product_over_divisors(self):
+        # x^d - 1 = prod_{e | d} Phi_e, for every order up to MAX_D
+        for d in range(1, MAX_D + 1):
+            prod = [1]
+            for e in range(1, d + 1):
+                if d % e == 0:
+                    phi = cyclotomic_polynomial(e)
+                    out = [0] * (len(prod) + len(phi) - 1)
+                    for i, a in enumerate(prod):
+                        for j, b in enumerate(phi):
+                            out[i + j] += a * b
+                    prod = out
+            assert prod == [-1] + [0] * (d - 1) + [1], d
 
 
 class TestCycloArithmetic:

@@ -109,6 +109,50 @@ class TestSpecializeRep:
         with pytest.raises(ValidationError):
             specialize_rep(4, (1, 2, 1))
 
+    def test_reflection_rows_match_the_closed_form(self):
+        # every reflection of every spec with d <= 6, n <= 4
+        checked = 0
+        for d in range(2, 7):
+            for strands in range(2, 6):
+                for k in itertools.product(coprime_units(d), repeat=strands):
+                    rep = specialize_rep(d, k)
+                    assert rep.reflection_rows() == _reflection_formula(d, k)
+                    checked += strands - 1
+        assert checked == 5606
+
+    def test_reflection_row_support_checked(self, monkeypatch):
+        # A_23 with a nonzero entry outside row 1 is not 1 + e_1 r^T
+        d, k = 3, (1, 1, 2, 2)
+        rep = specialize_rep(d, k)
+        a = rep.generator_matrices[(2, 3)]
+        row = (a[0][0] + CycloNum.one(d),) + a[0][1:]
+        rep.generator_matrices = dict(rep.generator_matrices)
+        rep.generator_matrices[(2, 3)] = (row,) + a[1:]
+        with pytest.raises(InvariantError, match="outside row 1") as ei:
+            rep.reflection_rows()
+        assert ei.value.reproducer == {"op": "reflection_rows", "d": d,
+                                       "k": list(k), "i": 2}
+
+
+def _reflection_formula(d, k):
+    """Reference for SpecializedRep.reflection_rows: row i - 1 of s_i^2 - 1
+    holds t_i (1 - t_{i+1}), t_i t_{i+1} - 1 and 1 - t_i in columns i - 2,
+    i - 1 and i (those inside the matrix), zero coefficients left out."""
+    t = [CycloNum.omega_power(d, ki) for ki in k]
+    one = CycloNum.one(d)
+    n = len(k) - 1
+    rows = []
+    for idx in range(n):
+        ti, ti1 = t[idx], t[idx + 1]
+        entries = []
+        if idx - 1 >= 0:
+            entries.append((idx - 1, ti * (one - ti1)))
+        entries.append((idx, ti * ti1 - one))
+        if idx + 1 < n:
+            entries.append((idx + 1, one - ti))
+        rows.append((idx, [(col, c) for col, c in entries if not c.is_zero()]))
+    return rows
+
 
 class TestPigeonhole:
     def test_all_ones_d3(self):
