@@ -7,8 +7,8 @@ Subpackages by theme:
 - ``braid``: braid words, pure-braid generators, half twists, permutations.
 - ``artin``: the braid action on a free group and the semidirect-product
   evaluation that derives unreduced matrices from first principles.
-- ``gassner``: the reduced / unreduced crossed-homomorphism matrices and the
-  one-variable (Burau) specialization.
+- ``gassner``: the reduced / unreduced crossed-homomorphism matrices of
+  braid words.
 - ``hermitian``: the invariant tridiagonal skew-hermitian form, determinant
   identity, specializations, signatures.
 - ``spectral``: root-of-unity specializations, degeneracy structure,
@@ -21,9 +21,9 @@ Subpackages by theme:
 __version__ = "0.1.0"
 
 from .braid import BraidWord, Permutation, full_twist, pure_generator  # noqa: F401
-from .cyclo import CycloNum, embed_numeric, specialize_poly  # noqa: F401
+from .cyclo import CycloNum, specialize_poly  # noqa: F401
 from .errors import InvariantError, ValidationError  # noqa: F401
-from .gassner import TwistedMap, evaluate_word, invariant_vectors  # noqa: F401
+from .gassner import TwistedMap, evaluate_word  # noqa: F401
 from .hermitian import form_matrix, signature, verify_invariance  # noqa: F401
 from .laurent import LaurentPoly, RationalFunction  # noqa: F401
 from .spectral import SpecializedRep, specialize_rep  # noqa: F401

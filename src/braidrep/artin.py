@@ -112,13 +112,6 @@ def artin_apply(w: BraidWord, u: FreeWord) -> FreeWord:
     return out
 
 
-def artin_product_invariance(w: BraidWord) -> bool:
-    """Whether w fixes the product word x_1 x_2 ... x_{n+1} (it always should)."""
-    m = w.strands
-    u = FreeWord(m, tuple(range(1, m + 1)))
-    return artin_apply(w, u) == u
-
-
 class SemidirectElement:
     """An element (v, t) of R^{n+1} semidirect the multiplicative monomials.
 

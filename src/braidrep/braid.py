@@ -184,10 +184,6 @@ def permutation_image(w: BraidWord) -> Permutation:
     return p
 
 
-def is_pure(w: BraidWord) -> bool:
-    return permutation_image(w).is_identity()
-
-
 def pure_generator(r: int, s: int, strands: int) -> BraidWord:
     """The standard pure-braid generator A_{rs} = Pi^-1 s_r^2 Pi.
 
@@ -215,20 +211,3 @@ def full_twist(a: int, b: int, strands: int) -> BraidWord:
     for top in range(b - 1, a - 1, -1):
         letters.extend(range(a, top + 1))
     return BraidWord(strands, letters)
-
-
-def random_pure_word(strands: int, rng, max_factors: int = 4) -> BraidWord:
-    """A random pure word: a product of pure-braid generators and inverses.
-
-    Pure by construction, so no permutation check is needed.  Lengths are kept
-    small because symbolic matrix entries grow with word length.
-    """
-    w = BraidWord(strands)
-    for _ in range(rng.randint(1, max_factors)):
-        r = rng.randint(1, strands - 1)
-        s = rng.randint(r + 1, strands)
-        g = pure_generator(r, s, strands)
-        if rng.random() < 0.5:
-            g = g.inverse()
-        w = w * g
-    return w

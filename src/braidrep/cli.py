@@ -1,15 +1,15 @@
 """Command-line front end: every operation as a subcommand with JSON output.
 
 ``COMMANDS`` names each subcommand (handler ``_cmd_<name>``) and the flags
-it reads, besides ``--out``, ``--seed`` and ``--config``; the subparsers,
-``run`` and the ``--config`` keys are built from it, so any other flag or key
-is an argument error.
+it reads, besides ``--out`` and ``--config``; the subparsers, ``run`` and the
+``--config`` keys are built from it, so any other flag or key is an argument
+error.
 
 Exit codes: 0 success, 2 precondition/validation failure (argument errors
 included), 3 internal mathematical invariant failure (a bug; the JSON error
 carries a minimal reproducer).  Output is deterministic: keys are sorted and
-sweep rows are emitted in sorted job order.  ``--seed`` is accepted but
-reserved; no command reads it.  A sweep has at most ``MAX_SWEEP_ROWS`` rows.
+sweep rows are emitted in sorted job order.  A sweep has at most
+``MAX_SWEEP_ROWS`` rows.
 
 Usage sketch:
     braidrep verify --n 3 --word "A 1 3"
@@ -46,7 +46,7 @@ COMMANDS = {
     "signature": ("d", "k", "f", "n"),
     "sweep": ("d", "n"),
 }
-COMMON_FLAGS = ("out", "seed", "config")
+COMMON_FLAGS = ("out", "config")
 
 # Input budgets, checked as the input is read (d and the word length are
 # budgeted in cyclo.MAX_D and braid.MAX_WORD_LENGTH).  Symbolic matrices grow
@@ -65,7 +65,6 @@ class JobConfig:
     f: int | None = None
     word: str | None = None
     basis: str = "reduced"
-    seed: int = 0
     out: str | None = None
 
 
@@ -278,8 +277,8 @@ def sweep_row_count(d_max: int, n_max: int) -> int:
 
 
 def _cmd_sweep(config: JobConfig) -> str:
-    d_max = config.d if config.d is not None else 0
-    n_max = config.n if config.n is not None else 0
+    _require(config, ("d", "n"))
+    d_max, n_max = config.d, config.n
     if d_max > MAX_D:
         raise ValidationError(
             f"sweep d={d_max} exceeds the budget MAX_D={MAX_D}")
@@ -311,7 +310,7 @@ def run(config: JobConfig):
 
 def _parse_k(text: str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValidationError(f"--k expects comma-separated integers, got '{text}'")
 
@@ -355,7 +354,6 @@ _FLAGS = {
     "f": dict(type=int, help="embedding exponent, coprime to d"),
     "word": dict(help="braid word: tokens s<i>, s<i>^<p>, 'A r s', 'T a b'"),
     "basis": dict(choices=("reduced", "unreduced")),
-    "seed": dict(type=int, help="reserved: accepted, read by no command"),
     "out": dict(help="write output to this path instead of stdout"),
     "config": dict(help="key=value file; explicit flags win over the file"),
 }
@@ -376,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
     # every flag but --config itself may also come from the file
-    keys = COMMANDS[args.command] + ("out", "seed")
+    keys = COMMANDS[args.command] + ("out",)
     values = {key: getattr(args, key) for key in keys}
     if args.config:
         file_values = _read_config_file(args.config)

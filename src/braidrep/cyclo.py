@@ -502,8 +502,3 @@ def _specialize_laurent(a: LaurentPoly, d: int, k: tuple) -> CycloNum:
                 if row[i]:
                     out[i] += c * row[i]
     return CycloNum._raw(d, *_normalize(tuple(out), 1))
-
-
-def embed_numeric(a: CycloNum, f: int) -> complex:
-    """Numeric embedding of a cyclotomic number at omega -> e^(2*pi*i*f/d)."""
-    return a.embed(f)

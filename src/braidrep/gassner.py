@@ -26,8 +26,7 @@ in the image of basis vector i.
 
 from __future__ import annotations
 
-from .artin import derive_unreduced_matrix
-from .braid import BraidWord, Permutation, full_twist, pure_generator
+from .braid import BraidWord, Permutation
 from .errors import InvariantError, ValidationError
 from .laurent import LaurentPoly, RationalFunction
 from . import linalg
@@ -43,21 +42,9 @@ class TwistedMap:
         self.perm = perm
         self.matrix = matrix
 
-    @classmethod
-    def identity(cls, nvars: int, dim: int) -> TwistedMap:
-        one = RationalFunction.constant(nvars, 1)
-        zero = RationalFunction.constant(nvars, 0)
-        return cls(nvars, Permutation.identity(nvars),
-                   linalg.identity(dim, one, zero))
-
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-    def inverse(self) -> TwistedMap:
-        inv_perm = self.perm.inverse()
-        inv_matrix = apply_perm_to_matrix(inv_perm, linalg.mat_inverse(self.matrix))
-        return TwistedMap(self.nvars, inv_perm, inv_matrix)
 
     def is_linear(self) -> bool:
         return self.perm.is_identity()
@@ -73,13 +60,6 @@ class TwistedMap:
                 f"dim={self.dim})")
 
 
-def apply_perm_to_matrix(perm: Permutation, matrix: tuple) -> tuple:
-    if perm.is_identity():
-        return matrix
-    images = perm.images
-    return tuple(tuple(x.permute_vars(images) for x in row) for row in matrix)
-
-
 _generator_cache: dict = {}
 
 
@@ -89,64 +69,39 @@ def _generator(strands: int, letter: int, basis: str) -> tuple:
     s_i differs from the identity in one row (reduced) or two rows
     (unreduced), and so does its inverse: the determinant -X_i is a unit, so
     the inverse has Laurent entries and the same row support.  A row is
-    (a, ((b, entry), ...)) with the zero entries left out.
+    (a, ((b, entry), ...)) with the zero entries left out and a = i - 1.
+    The rows of s_i are those of the module docstring; those of s_i^-1 are
+    sigma(M^-1), sigma swapping X_i and X_{i+1}:
+      reduced    row a: 1 at a-1, -X_{i+1}^-1 at a, X_{i+1}^-1 at a+1
+                 (clipped to 0..n-1);
+      unreduced  row a: X_{i+1}^-1 at a+1;
+                 row a+1: 1 at a, X_{i+1}^-1 (X_i - 1) at a+1.
     """
     key = (strands, letter, basis)
     g = _generator_cache.get(key)
     if g is None:
         i = abs(letter)
-        tm = (_reduced_generator_matrix(strands, i) if basis == "reduced"
-              else _unreduced_generator_matrix(strands, i))
-        if letter < 0:
-            tm = tm.inverse()
-        mat = assert_polynomial_entries(tm, f"generator {letter} ({basis})")
-        one, zero = LaurentPoly.one(strands), LaurentPoly.zero(strands)
-        rows = tuple(
-            (a, tuple((b, x) for b, x in enumerate(row) if not x.is_zero()))
-            for a, row in enumerate(mat)
-            if row != tuple(one if b == a else zero for b in range(len(row))))
-        g = _generator_cache[key] = (tm.perm, rows)
+        a = i - 1
+        one = LaurentPoly.one(strands)
+        xi = LaurentPoly.variable(strands, i)
+        if letter > 0:
+            x = LaurentPoly.variable(strands, i + 1)
+            reduced = ((a - 1, xi), (a, -xi), (a + 1, one))
+            unreduced = ((a, ((a, one - x), (a + 1, one))),
+                         (a + 1, ((a, xi),)))
+        else:
+            x = LaurentPoly.variable(strands, i + 1, -1)
+            reduced = ((a - 1, one), (a, -x), (a + 1, x))
+            unreduced = ((a, ((a + 1, x),)),
+                         (a + 1, ((a, one), (a + 1, -x + x * xi))))
+        if basis == "reduced":
+            n = strands - 1
+            rows = ((a, tuple((b, y) for b, y in reduced if 0 <= b < n)),)
+        else:
+            rows = unreduced
+        g = _generator_cache[key] = (Permutation.transposition(strands, i),
+                                     rows)
     return g
-
-
-def _reduced_generator_matrix(strands: int, i: int) -> TwistedMap:
-    n = strands - 1
-    m = strands
-    one = RationalFunction.constant(m, 1)
-    zero = RationalFunction.constant(m, 0)
-    Xi = RationalFunction.variable(m, i)
-    rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
-    idx = i - 1
-    rows[idx][idx] = -Xi
-    if idx - 1 >= 0:
-        rows[idx][idx - 1] = Xi
-    if idx + 1 < n:
-        rows[idx][idx + 1] = one
-    return TwistedMap(m, Permutation.transposition(m, i),
-                      tuple(tuple(r) for r in rows))
-
-
-def _unreduced_generator_matrix(strands: int, i: int) -> TwistedMap:
-    m = strands
-    one = RationalFunction.constant(m, 1)
-    zero = RationalFunction.constant(m, 0)
-    Xi = RationalFunction.variable(m, i)
-    Xi1 = RationalFunction.variable(m, i + 1)
-    rows = [[one if a == b else zero for b in range(m)] for a in range(m)]
-    idx = i - 1
-    rows[idx][idx] = one - Xi1
-    rows[idx][idx + 1] = one
-    rows[idx + 1][idx] = Xi
-    rows[idx + 1][idx + 1] = zero
-    return TwistedMap(m, Permutation.transposition(m, i),
-                      tuple(tuple(r) for r in rows))
-
-
-def reduced_generator(i: int, strands: int) -> TwistedMap:
-    """The crossed-homomorphism value of s_i on the eps-basis (n x n)."""
-    if not 1 <= i <= strands - 1:
-        raise ValidationError(f"generator index {i} out of range 1..{strands - 1}")
-    return evaluate_word(BraidWord(strands, (i,)), "reduced")
 
 
 def evaluate_word(w: BraidWord, basis: str = "reduced") -> TwistedMap:
@@ -210,126 +165,3 @@ def assert_polynomial_entries(m: TwistedMap, context: str) -> tuple:
             orow.append(x.num)
         out.append(tuple(orow))
     return tuple(out)
-
-
-def closed_form_pure_matrix(r: int, s: int, strands: int) -> tuple:
-    """The classical unreduced matrix of A_{rs} (LaurentPoly entries).
-
-    Columns: e_i fixed for i < r or i > s;
-      e_r -> (1-X_r+X_rX_s) e_r + X_r(1-X_r) e_s;
-      e_s -> (1-X_s) e_r + X_r e_s;
-      e_i -> e_i + (1-X_i)((1-X_s) e_r - (1-X_r) e_s)  for r < i < s.
-    """
-    if not 1 <= r < s <= strands:
-        raise ValidationError(f"need 1 <= r < s <= {strands}")
-    m = strands
-    one = LaurentPoly.one(m)
-    zero = LaurentPoly.zero(m)
-    Xr = LaurentPoly.variable(m, r)
-    Xs = LaurentPoly.variable(m, s)
-    rows = [[one if a == b else zero for b in range(m)] for a in range(m)]
-    ri, si = r - 1, s - 1
-    rows[ri][ri] = one - Xr + Xr * Xs
-    rows[si][ri] = Xr * (one - Xr)
-    rows[ri][si] = one - Xs
-    rows[si][si] = Xr
-    for i in range(r + 1, s):
-        Xi = LaurentPoly.variable(m, i)
-        rows[ri][i - 1] = (one - Xi) * (one - Xs)
-        rows[si][i - 1] = -(one - Xi) * (one - Xr)
-    return tuple(tuple(row) for row in rows)
-
-
-def oracle_equivalence(r: int, s: int, strands: int) -> bool:
-    """Three routes to the unreduced A_{rs} matrix must coincide exactly:
-    the braid-word evaluation, the Artin/semidirect derivation, and the
-    classical closed form."""
-    word = pure_generator(r, s, strands)
-    evaluated = assert_polynomial_entries(
-        evaluate_word(word, "unreduced"), f"A_{r}{s} unreduced")
-    derived = derive_unreduced_matrix(word)
-    closed = closed_form_pure_matrix(r, s, strands)
-    return evaluated == derived and derived == closed
-
-
-def invariant_vectors(strands: int):
-    """(unreduced v, formal reduced w) as coordinate tuples.
-
-    v = sum X_1...X_{i-1} e_i is fixed by every pure word.  The reduced tuple
-    has coordinates (1 - pi_i) with pi_i = X_1...X_i; it is an honest
-    invariant only after a specialization that kills 1 - pi_{n+1}.
-    """
-    m = strands
-    v = []
-    w = []
-    for i in range(m):
-        prefix = LaurentPoly.monomial(m, tuple(1 if j < i else 0 for j in range(m)))
-        v.append(RationalFunction.from_poly(prefix))
-    one = LaurentPoly.one(m)
-    for i in range(1, m):
-        pi = LaurentPoly.monomial(m, tuple(1 if j < i else 0 for j in range(m)))
-        w.append(RationalFunction.from_poly(one - pi))
-    return tuple(v), tuple(w)
-
-
-def basis_change_e_to_eps(strands: int) -> tuple:
-    """Columns express (eps_1, ..., eps_n, v_{n+1}) in the e-basis.
-
-    eps_i = e_i/(1-X_i) - e_{i+1}/(1-X_{i+1}) and v_{n+1} = e_{n+1}/(1-X_{n+1});
-    conjugating an unreduced pure matrix by this puts the reduced matrix in
-    the top-left n x n block.
-    """
-    m = strands
-    zero = RationalFunction.constant(m, 0)
-    cols = []
-    inv = [1 / (1 - RationalFunction.variable(m, i)) for i in range(1, m + 1)]
-    for i in range(1, m):
-        col = [zero] * m
-        col[i - 1] = inv[i - 1]
-        col[i] = -inv[i]
-        cols.append(col)
-    last = [zero] * m
-    last[m - 1] = inv[m - 1]
-    cols.append(last)
-    return tuple(tuple(cols[j][a] for j in range(m)) for a in range(m))
-
-
-def reduced_block_of_unreduced(w: BraidWord) -> tuple:
-    """Conjugate the unreduced matrix of a pure word into the eps basis and
-    return (top-left n x n block, full conjugated matrix)."""
-    m = evaluate_word(w, "unreduced")
-    if not m.is_linear():
-        raise ValidationError("basis-change comparison needs a pure word")
-    p = basis_change_e_to_eps(w.strands)
-    conj = linalg.mat_mul(linalg.mat_inverse(p), linalg.mat_mul(m.matrix, p))
-    n = w.strands - 1
-    block = tuple(tuple(conj[a][b] for b in range(n)) for a in range(n))
-    return block, conj
-
-
-def burau_specialize(m: TwistedMap) -> tuple:
-    """Substitute X_i -> q for every i, landing in one-variable fractions.
-
-    All variables collapse, so the permutation part acts trivially afterwards
-    and the result is an honest matrix (of the full braid group on the
-    reduced basis).
-    """
-    return tuple(tuple(x.collapse_to_single_var() for x in row)
-                 for row in m.matrix)
-
-
-def delta_squared(strands: int) -> BraidWord:
-    """The central full twist of the whole braid group."""
-    return full_twist(1, strands, strands) ** 2
-
-
-def scalar_matrix_check(matrix: tuple, scalar) -> bool:
-    """Whether a square matrix equals scalar * identity exactly."""
-    for a, row in enumerate(matrix):
-        for b, x in enumerate(row):
-            if a == b:
-                if x != scalar:
-                    return False
-            elif not x.is_zero():
-                return False
-    return True

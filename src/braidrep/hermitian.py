@@ -88,15 +88,6 @@ def conjugate_transpose(matrix: tuple) -> tuple:
     return tuple(tuple(x.involute() for x in col) for col in zip(*matrix))
 
 
-def is_skew_hermitian(matrix: tuple) -> bool:
-    ct = conjugate_transpose(matrix)
-    for row_ct, row in zip(ct, matrix):
-        for a, b in zip(row_ct, row):
-            if a != -b:
-                return False
-    return True
-
-
 def verify_invariance(w: BraidWord) -> bool:
     """Exact check that the reduced image of a pure word preserves the form.
 

@@ -243,24 +243,6 @@ class LaurentPoly:
             return -1
         return max(e[v] for e in self.terms)
 
-    def collapse_to_single_var(self) -> LaurentPoly:
-        """Substitute every variable by the single variable of a 1-var ring.
-
-        Used to pass from the multivariate picture to the one-variable Burau
-        picture (all Xi -> q); the image exponent is the total degree.
-        """
-        terms: dict = {}
-        for e, c in self.terms.items():
-            t = (sum(e),)
-            s = terms.get(t, 0) + c
-            if s:
-                terms[t] = s
-            elif t in terms:
-                del terms[t]
-        p = LaurentPoly(1)
-        p.terms = terms
-        return p
-
     # -- text form ----------------------------------------------------------
 
     def __str__(self):
@@ -592,14 +574,6 @@ class RationalFunction:
         return RationalFunction._raw(self.num.permute_vars(images),
                                      self.den.permute_vars(images))
 
-    def collapse_to_single_var(self) -> RationalFunction:
-        num = self.num.collapse_to_single_var()
-        den = self.den.collapse_to_single_var()
-        if den.is_zero():
-            raise ZeroDivisionError(
-                "denominator vanishes under the all-variables-equal substitution")
-        return RationalFunction(num, den)
-
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
@@ -607,15 +581,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction('{self}')"
-
-
-def is_involution_fixed(a) -> bool:
-    """Membership test for the subring fixed by Xi -> Xi^-1.
-
-    No generating set for that subring is exposed anywhere; this predicate is
-    the entire interface to it.
-    """
-    return a.involute() == a
 
 
 def _coerce(x, nvars: int) -> RationalFunction:

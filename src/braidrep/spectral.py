@@ -28,19 +28,9 @@ from itertools import accumulate
 
 from . import linalg
 from .braid import BraidWord, full_twist, pure_generator
-from .cyclo import (
-    CycloNum,
-    check_spec_weights,
-    specialize_matrix,
-    specialize_poly,
-)
+from .cyclo import CycloNum, check_spec_weights, specialize_matrix
 from .errors import InvariantError, ValidationError
-from .gassner import (
-    assert_polynomial_entries,
-    delta_squared,
-    evaluate_word,
-    scalar_matrix_check,
-)
+from .gassner import assert_polynomial_entries, evaluate_word
 
 
 # -- the symbolic cache (a matrix depends on the word only) -------------------
@@ -173,19 +163,6 @@ def _scan_window(d: int, k: tuple, offset: int):
         reproducer={"op": "pigeonhole_blocks", "d": d, "k": list(k)})
 
 
-def all_unit_subintervals(d: int, k: tuple, lo: int, hi: int) -> list:
-    """Brute-force oracle: every consecutive [a, b] inside [lo, hi] with
-    t_a ... t_b = 1."""
-    out = []
-    for a in range(lo, hi + 1):
-        acc = 0
-        for b in range(a, hi + 1):
-            acc = (acc + k[b - 1]) % d
-            if acc == 0:
-                out.append((a, b))
-    return out
-
-
 # -- unipotent elements -------------------------------------------------------
 
 def _assert_subtwist_scalar(m2: tuple, rep: SpecializedRep, p: int):
@@ -297,15 +274,19 @@ def _check_degenerate_block(d: int, k: tuple, p: int):
             f"got {sum(k[:p])} mod {d}")
 
 
-def _checked_commutator(d: int, k: tuple) -> tuple:
-    """(rep, u) for unipotent_commutator; raises InvariantError unless u is
-    a nontrivial 2-step unipotent.  The dense u != 1 and (u - 1)^2 = 0 checks
-    do not use the rank-one form of u, so they check its construction."""
+def unipotent_commutator(d: int, k: tuple) -> tuple:
+    """u = [s_1^2, Delta'^2] on the p-strand specialization, p = len(k).
+
+    Preconditions: p >= 3, weights coprime to d, and d | sum(k) so the
+    representation is degenerate.  The result is checked to be a nontrivial
+    unipotent: u != 1 and (u - 1)^2 = 0 exactly; failures of those checks are
+    bugs, not bad input.  The dense checks do not use the rank-one form of u,
+    so they check its construction.
+    """
     k = tuple(k)
     p = len(k)
     _check_degenerate_block(d, k, p)
-    rep = specialize_rep(d, k)
-    u = _commutator(rep, p)
+    u = _commutator(specialize_rep(d, k), p)
     ident = linalg.identity(p - 1, CycloNum.one(d), CycloNum.zero(d))
     if linalg.mat_eq(u, ident):
         raise InvariantError(
@@ -316,24 +297,7 @@ def _checked_commutator(d: int, k: tuple) -> tuple:
         raise InvariantError(
             "(u - 1)^2 != 0: commutator is not 2-step unipotent",
             reproducer={"op": "unipotent_commutator", "d": d, "k": list(k)})
-    return rep, u
-
-
-def unipotent_commutator(d: int, k: tuple) -> tuple:
-    """u = [s_1^2, Delta'^2] on the p-strand specialization, p = len(k).
-
-    Preconditions: p >= 3, weights coprime to d, and d | sum(k) so the
-    representation is degenerate.  The result is checked to be a nontrivial
-    unipotent: u != 1 and (u - 1)^2 = 0 exactly; failures of those checks are
-    bugs, not bad input.
-    """
-    return _checked_commutator(d, k)[1]
-
-
-def commutator_in_w_basis(d: int, k: tuple) -> tuple:
-    """The commutator written in the basis (w, eps_2, ..., eps_{p-1})."""
-    rep, u = _checked_commutator(d, k)
-    return _in_basis(u, _adapted_basis(rep))
+    return u
 
 
 def _in_flag_stabilizer(b: tuple, unipotent: bool) -> bool:
@@ -482,28 +446,3 @@ def degeneracy_agreement(d: int, k: tuple) -> dict:
         "fixed_space_dim": fixed_dim,
         "agree": agree,
     }
-
-
-def central_scalar_matches(d: int, k: tuple) -> bool:
-    """rho(Delta^2) specialized equals (t_1...t_{n+1}) * identity."""
-    rep = specialize_rep(d, k)
-    return scalar_matrix_check(rep.word_matrix(delta_squared(rep.strands)),
-                               rep.central_scalar())
-
-
-def burau_matches_gassner_at_ones(strands: int, d: int) -> bool:
-    """With every weight 1, the specialized matrices equal the one-variable
-    matrices evaluated at omega_d, generator by generator."""
-    from .gassner import burau_specialize
-
-    k = (1,) * strands
-    rep = specialize_rep(d, k)
-    for (r, s), mat in rep.generator_matrices.items():
-        sym = evaluate_word(pure_generator(r, s, strands), "reduced")
-        bur = burau_specialize(sym)
-        for a in range(rep.dim):
-            for b in range(rep.dim):
-                val = specialize_poly(bur[a][b], d, (1,))
-                if val != mat[a][b]:
-                    return False
-    return True

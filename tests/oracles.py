@@ -1,0 +1,216 @@
+"""Independence oracles: second routes to what the library computes.
+
+The tests compare the library against these; the library never calls them.
+The module name has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+from braidrep import linalg, spectral
+from braidrep.artin import FreeWord, artin_apply, derive_unreduced_matrix
+from braidrep.braid import BraidWord, full_twist, pure_generator
+from braidrep.cyclo import specialize_poly
+from braidrep.gassner import assert_polynomial_entries, evaluate_word
+from braidrep.laurent import LaurentPoly, RationalFunction
+
+
+# -- braid words ----------------------------------------------------------------
+
+def random_pure_word(strands: int, rng, max_factors: int = 4) -> BraidWord:
+    """A random pure word: a product of pure-braid generators and inverses.
+
+    Pure by construction, so no permutation check is needed.  Lengths are kept
+    small because symbolic matrix entries grow with word length.
+    """
+    w = BraidWord(strands)
+    for _ in range(rng.randint(1, max_factors)):
+        r = rng.randint(1, strands - 1)
+        s = rng.randint(r + 1, strands)
+        g = pure_generator(r, s, strands)
+        if rng.random() < 0.5:
+            g = g.inverse()
+        w = w * g
+    return w
+
+
+def artin_product_invariance(w: BraidWord) -> bool:
+    """Whether w fixes the product word x_1 x_2 ... x_{n+1} (it always should)."""
+    m = w.strands
+    u = FreeWord(m, tuple(range(1, m + 1)))
+    return artin_apply(w, u) == u
+
+
+def scalar_matrix_check(matrix: tuple, scalar) -> bool:
+    """Whether a square matrix equals scalar * identity exactly."""
+    for a, row in enumerate(matrix):
+        for b, x in enumerate(row):
+            if a == b:
+                if x != scalar:
+                    return False
+            elif not x.is_zero():
+                return False
+    return True
+
+
+# -- Gassner matrices -----------------------------------------------------------
+
+def closed_form_pure_matrix(r: int, s: int, strands: int) -> tuple:
+    """The classical unreduced matrix of A_{rs} (LaurentPoly entries).
+
+    Columns: e_i fixed for i < r or i > s;
+      e_r -> (1-X_r+X_rX_s) e_r + X_r(1-X_r) e_s;
+      e_s -> (1-X_s) e_r + X_r e_s;
+      e_i -> e_i + (1-X_i)((1-X_s) e_r - (1-X_r) e_s)  for r < i < s.
+    """
+    m = strands
+    one = LaurentPoly.one(m)
+    zero = LaurentPoly.zero(m)
+    Xr = LaurentPoly.variable(m, r)
+    Xs = LaurentPoly.variable(m, s)
+    rows = [[one if a == b else zero for b in range(m)] for a in range(m)]
+    ri, si = r - 1, s - 1
+    rows[ri][ri] = one - Xr + Xr * Xs
+    rows[si][ri] = Xr * (one - Xr)
+    rows[ri][si] = one - Xs
+    rows[si][si] = Xr
+    for i in range(r + 1, s):
+        Xi = LaurentPoly.variable(m, i)
+        rows[ri][i - 1] = (one - Xi) * (one - Xs)
+        rows[si][i - 1] = -(one - Xi) * (one - Xr)
+    return tuple(tuple(row) for row in rows)
+
+
+def oracle_equivalence(r: int, s: int, strands: int) -> bool:
+    """Three routes to the unreduced A_{rs} matrix must coincide exactly:
+    the braid-word evaluation, the Artin/semidirect derivation, and the
+    classical closed form."""
+    word = pure_generator(r, s, strands)
+    evaluated = assert_polynomial_entries(
+        evaluate_word(word, "unreduced"), f"A_{r}{s} unreduced")
+    derived = derive_unreduced_matrix(word)
+    closed = closed_form_pure_matrix(r, s, strands)
+    return evaluated == derived and derived == closed
+
+
+def invariant_vectors(strands: int):
+    """(unreduced v, formal reduced w) as coordinate tuples.
+
+    v = sum X_1...X_{i-1} e_i is fixed by every pure word.  The reduced tuple
+    has coordinates (1 - pi_i) with pi_i = X_1...X_i; it is an honest
+    invariant only after a specialization that kills 1 - pi_{n+1}.
+    """
+    m = strands
+    one = LaurentPoly.one(m)
+
+    def prefix(i):
+        return LaurentPoly.monomial(m, tuple(1 if j < i else 0 for j in range(m)))
+
+    v = tuple(RationalFunction.from_poly(prefix(i)) for i in range(m))
+    w = tuple(RationalFunction.from_poly(one - prefix(i)) for i in range(1, m))
+    return v, w
+
+
+def basis_change_e_to_eps(strands: int) -> tuple:
+    """Columns express (eps_1, ..., eps_n, v_{n+1}) in the e-basis.
+
+    eps_i = e_i/(1-X_i) - e_{i+1}/(1-X_{i+1}) and v_{n+1} = e_{n+1}/(1-X_{n+1});
+    conjugating an unreduced pure matrix by this puts the reduced matrix in
+    the top-left n x n block.
+    """
+    m = strands
+    zero = RationalFunction.constant(m, 0)
+    cols = []
+    inv = [1 / (1 - RationalFunction.variable(m, i)) for i in range(1, m + 1)]
+    for i in range(1, m):
+        col = [zero] * m
+        col[i - 1] = inv[i - 1]
+        col[i] = -inv[i]
+        cols.append(col)
+    last = [zero] * m
+    last[m - 1] = inv[m - 1]
+    cols.append(last)
+    return tuple(tuple(cols[j][a] for j in range(m)) for a in range(m))
+
+
+def reduced_block_of_unreduced(w: BraidWord) -> tuple:
+    """Conjugate the unreduced matrix of a pure word into the eps basis and
+    return (top-left n x n block, full conjugated matrix)."""
+    m = evaluate_word(w, "unreduced")
+    assert m.is_linear(), "basis-change comparison needs a pure word"
+    p = basis_change_e_to_eps(w.strands)
+    conj = linalg.mat_mul(linalg.mat_inverse(p), linalg.mat_mul(m.matrix, p))
+    n = w.strands - 1
+    block = tuple(tuple(conj[a][b] for b in range(n)) for a in range(n))
+    return block, conj
+
+
+# -- the one-variable (Burau) picture -------------------------------------------
+
+def collapse_poly(p: LaurentPoly) -> LaurentPoly:
+    """Substitute every variable by the single variable q of a 1-var ring;
+    the image exponent is the total degree."""
+    terms: dict = {}
+    for e, c in p.terms.items():
+        t = (sum(e),)
+        terms[t] = terms.get(t, 0) + c
+    return LaurentPoly(1, terms)
+
+
+def collapse(x: RationalFunction) -> RationalFunction:
+    """``collapse_poly`` on the numerator and the denominator."""
+    den = collapse_poly(x.den)
+    if den.is_zero():
+        raise ZeroDivisionError(
+            "denominator vanishes under the all-variables-equal substitution")
+    return RationalFunction(collapse_poly(x.num), den)
+
+
+def burau_specialize(m) -> tuple:
+    """Substitute X_i -> q for every i, landing in one-variable fractions.
+
+    All variables collapse, so the permutation part acts trivially afterwards
+    and the result is an honest matrix (of the full braid group on the
+    reduced basis).
+    """
+    return tuple(tuple(collapse(x) for x in row) for row in m.matrix)
+
+
+# -- specializations ------------------------------------------------------------
+
+def all_unit_subintervals(d: int, k: tuple, lo: int, hi: int) -> list:
+    """Brute force: every consecutive [a, b] inside [lo, hi] with
+    t_a ... t_b = 1."""
+    out = []
+    for a in range(lo, hi + 1):
+        acc = 0
+        for b in range(a, hi + 1):
+            acc = (acc + k[b - 1]) % d
+            if acc == 0:
+                out.append((a, b))
+    return out
+
+
+def central_scalar_matches(d: int, k: tuple) -> bool:
+    """rho(Delta^2) specialized equals (t_1...t_{n+1}) * identity."""
+    rep = spectral.specialize_rep(d, k)
+    delta2 = full_twist(1, rep.strands, rep.strands) ** 2
+    return scalar_matrix_check(rep.word_matrix(delta2), rep.central_scalar())
+
+
+def burau_matches_gassner_at_ones(strands: int, d: int) -> bool:
+    """With every weight 1, the specialized matrices equal the one-variable
+    matrices evaluated at omega_d, generator by generator."""
+    rep = spectral.specialize_rep(d, (1,) * strands)
+    for (r, s), mat in rep.generator_matrices.items():
+        bur = burau_specialize(
+            evaluate_word(pure_generator(r, s, strands), "reduced"))
+        for a in range(rep.dim):
+            for b in range(rep.dim):
+                if specialize_poly(bur[a][b], d, (1,)) != mat[a][b]:
+                    return False
+    return True
+
+
+def commutator_in_w_basis(d: int, k: tuple) -> tuple:
+    """The commutator written in the basis (w, eps_2, ..., eps_{p-1})."""
+    u = spectral.unipotent_commutator(d, k)
+    basis = spectral._adapted_basis(spectral.specialize_rep(d, k))
+    return spectral._in_basis(u, basis)

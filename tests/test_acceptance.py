@@ -10,15 +10,10 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from braidrep.braid import BraidWord, pure_generator, random_pure_word
+from braidrep.braid import BraidWord, full_twist, pure_generator
 from braidrep.cli import build_parser, config_from_args, run
 from braidrep.cyclo import CycloNum
-from braidrep.gassner import (
-    delta_squared,
-    evaluate_word,
-    oracle_equivalence,
-    scalar_matrix_check,
-)
+from braidrep.gassner import evaluate_word
 from braidrep.hermitian import (
     form_determinant,
     is_degenerate,
@@ -27,9 +22,6 @@ from braidrep.hermitian import (
 )
 from braidrep.laurent import RationalFunction
 from braidrep.spectral import (
-    all_unit_subintervals,
-    central_scalar_matches,
-    commutator_in_w_basis,
     degeneracy_agreement,
     flag_unipotency_check,
     pigeonhole_blocks,
@@ -37,6 +29,14 @@ from braidrep.spectral import (
 )
 from braidrep.topology import CoverSpec, dm_report, genus_riemann_hurwitz, \
     homology_decomposition, kernel_ranks
+from oracles import (
+    all_unit_subintervals,
+    central_scalar_matches,
+    commutator_in_w_basis,
+    oracle_equivalence,
+    random_pure_word,
+    scalar_matrix_check,
+)
 
 
 def _units(d):
@@ -109,7 +109,7 @@ def test_c04_determinant_identity():
 
 def test_c05_central_scalars():
     for strands in range(2, 6):
-        m = evaluate_word(delta_squared(strands), "reduced")
+        m = evaluate_word(full_twist(1, strands, strands) ** 2, "reduced")
         scalar = RationalFunction.constant(strands, 1)
         for i in range(1, strands + 1):
             scalar = scalar * RationalFunction.variable(strands, i)
@@ -262,12 +262,12 @@ def test_c12_determinism():
         ["matrix", "--n", "3", "--word", "A 1 4", "--basis", "unreduced"],
         ["verify", "--n", "3", "--word", "T 1 4 T 1 4"],
         ["specialize", "--d", "5", "--k", "1,2,3"],
-        ["spectral", "--d", "3", "--k", "1,1,1,1,1,1,1", "--seed", "0"],
+        ["spectral", "--d", "3", "--k", "1,1,1,1,1,1,1"],
         ["decompose", "--d", "18", "--k", "1,1,1,1"],
         ["dm", "--d", "18", "--k", "1,1,1,1", "--f", "7"],
         ["classify", "--d", "18", "--k", "1,1,1,1"],
         ["signature", "--d", "18", "--k", "1,1,1,1"],
-        ["sweep", "--d", "4", "--n", "3", "--seed", "0"],
+        ["sweep", "--d", "4", "--n", "3"],
     ]
     parser = build_parser()
 
@@ -283,5 +283,5 @@ def test_c12_determinism():
     first = run_all()
     second = run_all()
     _announce(12, first == second,
-              f"two full battery runs with seed 0 are byte-identical "
+              f"two full battery runs are byte-identical "
               f"({len(first)} bytes)")

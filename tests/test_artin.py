@@ -8,13 +8,13 @@ from braidrep.artin import (
     FreeWord,
     SemidirectElement,
     artin_apply,
-    artin_product_invariance,
     derive_unreduced_matrix,
     semidirect_eval,
 )
-from braidrep.braid import BraidWord, permutation_image, pure_generator, random_pure_word
+from braidrep.braid import BraidWord, permutation_image, pure_generator
 from braidrep.errors import ValidationError
 from braidrep.laurent import LaurentPoly
+from oracles import artin_product_invariance, random_pure_word
 
 
 def x(m, i):

@@ -179,9 +179,23 @@ class TestSweep:
         assert text == ""
 
     def test_sorted_deterministic(self):
-        _, a = run_cli(["sweep", "--d", "3", "--n", "2", "--seed", "0"])
-        _, b = run_cli(["sweep", "--d", "3", "--n", "2", "--seed", "0"])
+        _, a = run_cli(["sweep", "--d", "3", "--n", "2"])
+        _, b = run_cli(["sweep", "--d", "3", "--n", "2"])
         assert a == b
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--n", "2"], "--d"),
+        (["sweep", "--d", "3"], "--n"),
+        (["sweep"], "--d"),
+    ], ids=["no_d", "no_n", "neither"])
+    def test_missing_bound_is_2(self, argv, flag):
+        # an explicit empty range prints nothing (test_empty_range); a
+        # missing bound is an error, as for every other command
+        code, text = run_cli(argv)
+        assert code == 2
+        doc = check_doc(text)
+        assert doc["kind"] == "validation"
+        assert f"requires {flag}" in doc["error"]
 
 
 class TestExitCodes:
@@ -200,6 +214,13 @@ class TestExitCodes:
     def test_bad_weights_is_2(self):
         code, text = run_cli(["specialize", "--d", "4", "--k", "1,2,1"])
         assert code == 2
+
+    @pytest.mark.parametrize("k", ["1,,1,1", "1,1,1,", ",1,1,1", ""])
+    def test_empty_weight_is_2(self, capsys, k):
+        assert main(["spectral", "--d", "3", "--k", k]) == 2
+        doc = check_doc(capsys.readouterr().err)
+        assert doc["kind"] == "validation"
+        assert "--k expects comma-separated integers" in doc["error"]
 
     def test_main_writes_stdout(self, capsys):
         rc = main(["verify", "--n", "2", "--word", "A 1 2"])
@@ -357,7 +378,9 @@ class TestUnreadFlags:
         (["sweep", "--d", "3", "--n", "1", "--k", "1,1"], "--k"),
         (["verify", "--n", "2", "--word", "s1^2", "--basis", "reduced"],
          "--basis"),
-    ], ids=["classify_f", "form_word", "sweep_k", "verify_basis"])
+        (["spectral", "--d", "3", "--k", "1,1,1", "--seed", "0"], "--seed"),
+    ], ids=["classify_f", "form_word", "sweep_k", "verify_basis",
+            "spectral_seed"])
     def test_flag_is_2(self, capsys, argv, flag):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -378,12 +401,12 @@ class TestUnreadFlags:
         assert "not read by 'classify': f" in doc["error"]
 
     def test_accepted_pairs(self, capsys):
-        # every command reads its own flags plus --out, --seed and --config
+        # every command reads its own flags plus --out and --config
         pairs = {(name, flag) for name in COMMANDS
                  for flag in _help_flags(name, capsys)}
-        assert len(pairs) == 58
+        assert len(pairs) == 48
         assert pairs == {(name, f"--{flag}") for name, flags in COMMANDS.items()
-                         for flag in flags + ("out", "seed", "config")}
+                         for flag in flags + ("out", "config")}
 
 
 def _help_flags(command, capsys) -> set:
@@ -427,7 +450,7 @@ class TestReadmeTables:
             for name in names:
                 reads[name] = set(re.findall(r"`(--[a-z]+)`", flags))
         common = reads.pop("every command")
-        assert common == {"--out", "--seed", "--config"}
+        assert common == {"--out", "--config"}
         assert set(reads) == set(COMMANDS)
         for name, flags in reads.items():
             assert _help_flags(name, capsys) == flags | common, name
@@ -481,8 +504,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv, content, text", [
         (["matrix", "--n", "1", "--word", "s1"], "basis=foo\n",
          "invalid choice"),
-        (["form", "--n", "1"], "n=1\nseed=x\n", "invalid int"),
-    ], ids=["bad_basis", "bad_seed"])
+        (["dm", "--d", "18", "--k", "1,1,1,1"], "f=x\n", "invalid int"),
+    ], ids=["bad_basis", "bad_int"])
     def test_file_values_pass_the_flag_checks(self, tmp_path, capsys,
                                               argv, content, text):
         cfg = tmp_path / "job.cfg"
@@ -529,9 +552,9 @@ class TestDeterminism:
         ["dm", "--d", "18", "--k", "1,1,1,1", "--f", "7"],
         ["classify", "--d", "5", "--k", "1,2,3,4,1"],
         ["signature", "--d", "18", "--k", "1,1,1,1"],
-        ["spectral", "--d", "3", "--k", "1,1,1", "--seed", "0"],
+        ["spectral", "--d", "3", "--k", "1,1,1"],
         ["decompose", "--d", "4", "--k", "1,1,3"],
-        ["sweep", "--d", "3", "--n", "2", "--seed", "0"],
+        ["sweep", "--d", "3", "--n", "2"],
     ]
 
     def test_byte_identical_reruns(self):
@@ -590,7 +613,6 @@ HOSTILE = {
     "word": ["s0", "s9", "A 4 2", "A", "T 1", "x", "s", "s1^", "^2",
              "s1^31", "s1^10^3", "-s1"],
     "basis": ["foo", ""],
-    "seed": ["z", "-3"],
     "out": ["DIR", "MISSING/out.json"],
 }
 # each token has at most 4 letters on up to 6 strands
@@ -620,7 +642,6 @@ def _fuzz_call(draw):
         "word": st.lists(st.sampled_from(WORD_TOKENS), min_size=0,
                          max_size=2).map(" ".join),
         "basis": st.sampled_from(["reduced", "unreduced"]),
-        "seed": st.sampled_from(["0", "7"]),
         "out": st.just("OUT"),
     }
 

@@ -12,7 +12,6 @@ from braidrep.cyclo import (
     CycloNum,
     _context,
     cyclotomic_polynomial,
-    embed_numeric,
     specialize_matrix,
     specialize_poly,
     units,
@@ -174,23 +173,23 @@ class TestCycloArithmetic:
 class TestEmbedding:
     def test_omega3(self):
         w = CycloNum.omega_power(3, 1)
-        z = embed_numeric(w, 1)
+        z = w.embed(1)
         assert abs(z - complex(-0.5, 0.8660254037844386)) < 1e-12
 
     def test_root_sum(self):
         w = CycloNum.omega_power(3, 1)
-        z = embed_numeric(w + w * w, 1)
+        z = (w + w * w).embed(1)
         assert abs(z - (-1)) < 1e-12
 
     def test_galois_twist_commutes_with_powering(self):
         a = CycloNum.omega_power(18, 7)
         w = CycloNum.omega_power(18, 1)
-        assert abs(embed_numeric(a, 1) - embed_numeric(w, 7)) < 1e-12
+        assert abs(a.embed(1) - w.embed(7)) < 1e-12
 
     def test_non_coprime_embedding_rejected(self):
         w = CycloNum.omega_power(6, 1)
         with pytest.raises(ValidationError):
-            embed_numeric(w, 2)
+            w.embed(2)
 
     def test_arithmetic_matches_complex_arithmetic(self):
         rng = random.Random(2)

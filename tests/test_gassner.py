@@ -8,47 +8,100 @@ from braidrep import gassner, linalg
 from braidrep.artin import derive_unreduced_matrix
 from braidrep.braid import (
     BraidWord,
+    Permutation,
     full_twist,
     parse_word,
     pure_generator,
-    random_pure_word,
 )
-from braidrep.gassner import (
-    TwistedMap,
-    apply_perm_to_matrix,
-    assert_polynomial_entries,
+from braidrep.cli import MAX_N
+from braidrep.gassner import TwistedMap, assert_polynomial_entries, evaluate_word
+from braidrep.laurent import LaurentPoly, RationalFunction
+from oracles import (
     basis_change_e_to_eps,
     burau_specialize,
     closed_form_pure_matrix,
-    delta_squared,
-    evaluate_word,
     invariant_vectors,
     oracle_equivalence,
+    random_pure_word,
     reduced_block_of_unreduced,
-    reduced_generator,
     scalar_matrix_check,
 )
-from braidrep.laurent import LaurentPoly, RationalFunction
 
 
 def RF(m, i):
     return RationalFunction.variable(m, i)
 
 
+def _identity(strands, dim):
+    one = RationalFunction.constant(strands, 1)
+    zero = RationalFunction.constant(strands, 0)
+    return TwistedMap(strands, Permutation.identity(strands),
+                      linalg.identity(dim, one, zero))
+
+
+def _permute(perm, matrix):
+    """sigma(M): perm applied entrywise to the variables."""
+    if perm.is_identity():
+        return matrix
+    return tuple(tuple(x.permute_vars(perm.images) for x in row)
+                 for row in matrix)
+
+
+def _reduced_generator_matrix(strands, i):
+    n = strands - 1
+    m = strands
+    one = RationalFunction.constant(m, 1)
+    zero = RationalFunction.constant(m, 0)
+    Xi = RationalFunction.variable(m, i)
+    rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
+    idx = i - 1
+    rows[idx][idx] = -Xi
+    if idx - 1 >= 0:
+        rows[idx][idx - 1] = Xi
+    if idx + 1 < n:
+        rows[idx][idx + 1] = one
+    return TwistedMap(m, Permutation.transposition(m, i),
+                      tuple(tuple(r) for r in rows))
+
+
+def _unreduced_generator_matrix(strands, i):
+    m = strands
+    one = RationalFunction.constant(m, 1)
+    zero = RationalFunction.constant(m, 0)
+    Xi = RationalFunction.variable(m, i)
+    Xi1 = RationalFunction.variable(m, i + 1)
+    rows = [[one if a == b else zero for b in range(m)] for a in range(m)]
+    idx = i - 1
+    rows[idx][idx] = one - Xi1
+    rows[idx][idx + 1] = one
+    rows[idx + 1][idx] = Xi
+    rows[idx + 1][idx + 1] = zero
+    return TwistedMap(m, Permutation.transposition(m, i),
+                      tuple(tuple(r) for r in rows))
+
+
+def _dense_letter(strands, letter, basis):
+    """The full matrix of s_i or s_i^-1 over the fraction field; the inverse
+    is rho(g^-1) = (sigma_g^-1, sigma_g^-1(M_g^-1)) with M_g^-1 eliminated."""
+    build = (_reduced_generator_matrix if basis == "reduced"
+             else _unreduced_generator_matrix)
+    g = build(strands, abs(letter))
+    if letter > 0:
+        return g
+    perm = g.perm.inverse()
+    return TwistedMap(strands, perm,
+                      _permute(perm, linalg.mat_inverse(g.matrix)))
+
+
 def _dense_evaluate(w, basis):
     """Reference: the dense twisted fold over full generator matrices,
     acc <- (sigma_acc sigma_g, M_acc * sigma_acc(M_g)) with n^3 products."""
-    build = (gassner._reduced_generator_matrix if basis == "reduced"
-             else gassner._unreduced_generator_matrix)
     dim = w.strands - 1 if basis == "reduced" else w.strands
-    acc = TwistedMap.identity(w.strands, dim)
+    acc = _identity(w.strands, dim)
     for letter in w.letters:
-        g = build(w.strands, abs(letter))
-        if letter < 0:
-            g = g.inverse()
-        twisted = apply_perm_to_matrix(acc.perm, g.matrix)
+        g = _dense_letter(w.strands, letter, basis)
         acc = TwistedMap(w.strands, acc.perm * g.perm,
-                         linalg.mat_mul(acc.matrix, twisted))
+                         linalg.mat_mul(acc.matrix, _permute(acc.perm, g.matrix)))
     return acc
 
 
@@ -84,25 +137,47 @@ class TestDenseReference:
             permuting += not self._same(BraidWord(strands, letters), basis)
         assert permuting >= 20
 
+    @pytest.mark.parametrize("basis", ["reduced", "unreduced"])
+    def test_letter_rows(self, basis):
+        # the closed-form rows of every +-s_i, against the full matrix with
+        # the inverse eliminated over the fraction field and the variables
+        # permuted
+        for strands in range(2, MAX_N + 2):
+            for i in range(1, strands):
+                for letter in (i, -i):
+                    perm, rows = gassner._generator(strands, letter, basis)
+                    ref = _dense_letter(strands, letter, basis)
+                    assert perm == ref.perm, (strands, letter, basis)
+                    dim = ref.dim
+                    mat = [[RationalFunction.constant(strands, int(a == b))
+                            for b in range(dim)] for a in range(dim)]
+                    for a, row in rows:
+                        mat[a] = [RationalFunction.constant(strands, 0)] * dim
+                        for b, x in row:
+                            assert not x.is_zero(), (strands, letter, basis)
+                            mat[a][b] = RationalFunction.from_poly(x)
+                    assert tuple(map(tuple, mat)) == ref.matrix, \
+                        (strands, letter, basis)
+
 
 class TestReducedGenerator:
     def test_eigencolumn(self):
         # n=3 (4 strands), i=1: eps_1 -> -X1 eps_1
-        g = reduced_generator(1, 4)
+        g = evaluate_word(BraidWord(4, (1,)), "reduced")
         assert g.matrix[0][0] == -RF(4, 1)
         assert g.matrix[1][0].is_zero()
         assert g.matrix[2][0].is_zero()
 
     def test_right_neighbor_column(self):
         # i=2: image of eps_3 is eps_2 + eps_3
-        g = reduced_generator(2, 4)
+        g = evaluate_word(BraidWord(4, (2,)), "reduced")
         assert g.matrix[1][2] == 1
         assert g.matrix[2][2] == 1
         assert g.matrix[0][2].is_zero()
 
     def test_distant_column_fixed(self):
         # i=1: eps_3 fixed
-        g = reduced_generator(1, 4)
+        g = evaluate_word(BraidWord(4, (1,)), "reduced")
         col = [g.matrix[j][2] for j in range(3)]
         assert col[0].is_zero() and col[1].is_zero() and col[2] == 1
 
@@ -154,7 +229,7 @@ class TestBraidRelations:
                        for _ in range(rng.randint(1, 6))]
             w = BraidWord(strands, letters)
             m = evaluate_word(w * w.inverse(), basis)
-            assert m == TwistedMap.identity(strands, m.dim)
+            assert m == _identity(strands, m.dim)
 
 
 class TestOracleEquivalence:
@@ -271,7 +346,7 @@ class TestBasisChange:
 class TestCentralScalars:
     def test_delta_squared_scalar(self):
         for strands in range(2, 6):
-            m = evaluate_word(delta_squared(strands), "reduced")
+            m = evaluate_word(full_twist(1, strands, strands) ** 2, "reduced")
             assert m.is_linear()
             scalar = RationalFunction.constant(strands, 1)
             for i in range(1, strands + 1):
@@ -325,7 +400,7 @@ class TestBurau:
         assert linalg.mat_eq(lhs, rhs)
 
     def test_delta2_squared_scalar_q_cubed(self):
-        m = evaluate_word(delta_squared(3), "reduced")
+        m = evaluate_word(full_twist(1, 3, 3) ** 2, "reduced")
         b = burau_specialize(m)
         q = RationalFunction.variable(1, 1)
         assert scalar_matrix_check(b, q ** 3)

@@ -13,17 +13,19 @@ from braidrep.errors import InvariantError, ValidationError
 from braidrep.gassner import evaluate_word
 from braidrep.hermitian import is_degenerate, specialize_form
 from braidrep.spectral import (
-    all_unit_subintervals,
-    burau_matches_gassner_at_ones,
     burnside_irreducibility,
-    central_scalar_matches,
-    commutator_in_w_basis,
     degeneracy_agreement,
     fixed_vector_space_dim,
     flag_unipotency_check,
     pigeonhole_blocks,
     specialize_rep,
     unipotent_commutator,
+)
+from oracles import (
+    all_unit_subintervals,
+    burau_matches_gassner_at_ones,
+    central_scalar_matches,
+    commutator_in_w_basis,
 )
 
 
