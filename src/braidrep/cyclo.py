@@ -483,10 +483,25 @@ def _specialize_entry(a, d: int, k: tuple) -> CycloNum:
 
 
 def _specialize_laurent(a: LaurentPoly, d: int, k: tuple) -> CycloNum:
+    """a at X_i -> omega_d^{k_i}.  Zero and a monomial c X^e (most entries of
+    a pure generator are 0 or 1) are read from the table of powers: c
+    omega^(e.k mod d).  Otherwise the coefficients are summed by residue of
+    e.k mod d, and each residue class costs one row of the table."""
     if a.nvars != len(k):
         raise ValidationError(
             f"weight tuple length {len(k)} does not match {a.nvars} variables")
+    if not a.terms:
+        return CycloNum.zero(d)
     ctx = _context(d)
+    if len(a.terms) == 1:
+        ((e, c),) = a.terms.items()
+        m = 0
+        for x, ki in zip(e, k):
+            m += x * ki
+        row = ctx.omega_pows[m % d]
+        if c != 1:
+            row = tuple(c * x for x in row)
+        return CycloNum._raw(d, row, 1)
     residues = [0] * d
     for e, c in a.terms.items():
         m = 0

@@ -2,10 +2,12 @@
 
 The symbolic reduced matrix of a pure word is cached by the word (it does
 not depend on the weights), and ``SpecializedRep.word_matrix`` specializes
-it once per representation: one cheap monomial-evaluation pass.  The heavy
-predicate here is the span-closure irreducibility test (Burnside: the
-reflections s_i^2 generate M_n exactly when the representation is
-irreducible).  s_i^2 - 1 is nonzero in one row only, so the closure works in
+it once per representation, on first use: one cheap monomial-evaluation
+pass, and only for the words the caller reads (the flag check reads A_12,
+the sub-twist and the generators on strands 2..p; the span closure reads the
+reflections s_i^2).  The heavy predicate here is the span-closure
+irreducibility test (Burnside: the reflections s_i^2 generate M_n exactly
+when the representation is irreducible).  s_i^2 - 1 is nonzero in one row only, so the closure works in
 row blocks: n independent ``linalg.Echelon`` forms of length-n rows, one per
 matrix row.  An inserted row costs one ``CycloNum`` inverse (the Galois norm,
 integer arithmetic only).  The identity is never reduced; it adds one
@@ -53,12 +55,11 @@ def _symbolic_matrix(word: BraidWord) -> tuple:
 
 
 class SpecializedRep:
-    """Reduced pure-word matrices at X_i -> omega_d^{k_i}.  The pure
-    generators A_rs are specialized up front; any other pure word on first
-    use, by ``word_matrix``."""
+    """Reduced pure-word matrices at X_i -> omega_d^{k_i}.  Every pure word,
+    the generators A_rs included, is specialized on first use by
+    ``word_matrix`` and kept in its one word-keyed cache."""
 
-    __slots__ = ("strands", "d", "k", "generator_matrices",
-                 "_words", "_reflection_rows")
+    __slots__ = ("strands", "d", "k", "_words", "_reflection_rows")
 
     def __init__(self, d: int, k: tuple):
         self.strands = len(k)
@@ -66,14 +67,18 @@ class SpecializedRep:
         self.k = tuple(k)
         self._words = {}
         self._reflection_rows = None
-        self.generator_matrices = {
-            (r, s): self.word_matrix(pure_generator(r, s, self.strands))
-            for r in range(1, self.strands)
-            for s in range(r + 1, self.strands + 1)}
 
     @property
     def dim(self) -> int:
         return self.strands - 1
+
+    @property
+    def generator_matrices(self) -> dict:
+        """(r, s) -> A_rs for every pure generator, in (r, s) order;
+        specializes the ones not yet read."""
+        return {(r, s): self.matrix(r, s)
+                for r in range(1, self.strands)
+                for s in range(r + 1, self.strands + 1)}
 
     def word_matrix(self, word: BraidWord) -> tuple:
         """The specialized matrix of a pure word, from the symbolic cache;
@@ -85,7 +90,7 @@ class SpecializedRep:
         return mat
 
     def matrix(self, r: int, s: int) -> tuple:
-        return self.generator_matrices[(r, s)]
+        return self.word_matrix(pure_generator(r, s, self.strands))
 
     def matrix_inverse(self, r: int, s: int) -> tuple:
         return self.word_matrix(pure_generator(r, s, self.strands).inverse())
@@ -409,8 +414,7 @@ def fixed_vector_space_dim(rep: SpecializedRep) -> int:
     one = CycloNum.one(rep.d)
     zero = CycloNum.zero(rep.d)
     rows = []
-    for key in sorted(rep.generator_matrices):
-        m = rep.generator_matrices[key]
+    for m in rep.generator_matrices.values():
         for a in range(n):
             row = list(m[a])
             row[a] = row[a] - one

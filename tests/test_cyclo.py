@@ -1,12 +1,14 @@
 """Cyclotomic number arithmetic, specialization, and numeric embeddings."""
 
 import cmath
+import itertools
 import random
 from math import gcd
 from fractions import Fraction
 
 import pytest
 
+from braidrep.braid import pure_generator
 from braidrep.cyclo import (
     MAX_D,
     CycloNum,
@@ -18,6 +20,7 @@ from braidrep.cyclo import (
 )
 from braidrep.errors import ValidationError
 from braidrep.laurent import LaurentPoly, RationalFunction
+from braidrep.spectral import _symbolic_matrix
 
 
 class TestCyclotomicPolynomials:
@@ -302,7 +305,56 @@ class TestSpecialization:
             assert (specialize_poly(a.involute(), d, k)
                     == specialize_poly(a, d, k).conjugate())
 
+    def test_monomial_fast_path_matches_residue_loop(self):
+        # every entry of every symbolic A_rs and A_rs^-1 on 2-6 strands, at
+        # every (d, k) with d <= 6; equal entries are specialized once.  Their
+        # monomials all have coefficient 1, so three with other coefficients
+        # join them
+        def entries(strands, inverses=True):
+            for r in range(1, strands):
+                for s in range(r + 1, strands + 1):
+                    word = pure_generator(r, s, strands)
+                    for w in (word, word.inverse()) if inverses else (word,):
+                        for row in _symbolic_matrix(w):
+                            yield from row
+
+        # on 6 strands, 285 of the 375 entries of the 15 A_rs take the fast
+        # path, 270 of them the constants 0 or 1
+        six = list(entries(6, inverses=False))
+        assert len(six) == 375
+        assert sum(x.is_zero() or x.is_one() for x in six) == 270
+        assert sum(len(x.terms) <= 1 for x in six) == 285
+        multi = checked = 0
+        for strands in range(2, 7):
+            distinct = set(entries(strands)) | {
+                LaurentPoly.monomial(strands, tuple(range(-1, strands - 1)), c)
+                for c in (-3, -1, 2)}
+            multi += sum(len(x.terms) > 1 for x in distinct)
+            for d in range(2, 7):
+                for k in itertools.product(units(d), repeat=strands):
+                    for x in distinct:
+                        assert specialize_poly(x, d, k) == \
+                            _residue_specialization(x, d, k), (x, d, k)
+                        checked += 1
+        assert multi == 160 and checked == 514237
+
     def test_str_form(self):
         v = CycloNum(3, (2, 1), 3)
         assert str(v) == "2/3 + 1/3*w (mod Phi_3)"
         assert str(CycloNum.zero(5)) == "0 (mod Phi_5)"
+
+
+def _residue_specialization(a, d, k):
+    """Reference for the specialization of a LaurentPoly, the loop that ran
+    before the monomial fast path: the coefficients summed by residue of e.k
+    mod d, then one row of the table of powers of omega per residue."""
+    ctx = _context(d)
+    residues = [0] * d
+    for e, c in a.terms.items():
+        residues[sum(x * ki for x, ki in zip(e, k)) % d] += c
+    out = [0] * ctx.deg
+    for m, c in enumerate(residues):
+        if c:
+            for i, x in enumerate(ctx.omega_pows[m]):
+                out[i] += c * x
+    return CycloNum(d, tuple(out))

@@ -126,14 +126,21 @@ class TestSpecializeRep:
         # A_23 with a nonzero entry outside row 1 is not 1 + e_1 r^T
         d, k = 3, (1, 1, 2, 2)
         rep = specialize_rep(d, k)
-        a = rep.generator_matrices[(2, 3)]
+        a = rep.matrix(2, 3)
         row = (a[0][0] + CycloNum.one(d),) + a[0][1:]
-        rep.generator_matrices = dict(rep.generator_matrices)
-        rep.generator_matrices[(2, 3)] = (row,) + a[1:]
+        _inject(rep, 2, 3, (row,) + a[1:])
         with pytest.raises(InvariantError, match="outside row 1") as ei:
             rep.reflection_rows()
         assert ei.value.reproducer == {"op": "reflection_rows", "d": d,
                                        "k": list(k), "i": 2}
+
+
+def _inject(rep, r, s, m):
+    """Put m in rep's word cache as the matrix of A_rs, so that every reader
+    of A_rs (``matrix``, ``generator_matrices``, ``reflection_rows``, the
+    flag check) sees m."""
+    rep._words[pure_generator(r, s, rep.strands)] = m
+    assert rep.matrix(r, s) is m and rep.generator_matrices[(r, s)] is m
 
 
 def _reflection_formula(d, k):
@@ -249,8 +256,11 @@ class TestFlagUnipotency:
 
     def test_generator_moving_w_fails(self, monkeypatch):
         # replace A_23 by (1 + E_{n,1}) A_23: the image of w picks up
-        # w_1 eps_n with w_1 = 1 - t_1 != 0, so the w-line is not kept
-        d, k = 3, (1, 1, 1, 1)
+        # w_1 eps_n with w_1 = 1 - t_1 != 0, so the w-line is not kept.  With
+        # p = 4, A_23 is not the sub-twist Delta'^2 (at p = 3 both are the
+        # word s_2^2), so the commutator is untouched and only the generator
+        # check can see the change
+        d, k = 4, (1, 1, 1, 1, 1)
         assert flag_unipotency_check(d, k)
         real = spectral.specialize_rep
 
@@ -260,9 +270,7 @@ class TestFlagUnipotency:
             one, zero = CycloNum.one(d), CycloNum.zero(d)
             shear = tuple(tuple(one if a == b or (a, b) == (n - 1, 0) else zero
                                 for b in range(n)) for a in range(n))
-            mats = dict(rep.generator_matrices)
-            mats[(2, 3)] = linalg.mat_mul(shear, mats[(2, 3)])
-            rep.generator_matrices = mats
+            _inject(rep, 2, 3, linalg.mat_mul(shear, rep.matrix(2, 3)))
             return rep
 
         monkeypatch.setattr(spectral, "specialize_rep", broken)
@@ -338,7 +346,7 @@ class TestRankOneBasis:
             w = rep.invariant_coords()
             basis = spectral._adapted_basis(rep)
             mats = [spectral._commutator(rep, p)]
-            mats += [rep.matrix(*key) for key in sorted(rep.generator_matrices)]
+            mats += list(rep.generator_matrices.values())
             for m in mats:
                 assert spectral._in_basis(m, basis) == _dense_in_basis(m, w), \
                     (d, k)
@@ -445,11 +453,9 @@ class TestRankOneCommutator:
 
         def broken(d, k):
             rep = real(d, k)
-            a = rep.generator_matrices[(1, 2)]
+            a = rep.matrix(1, 2)
             row = (a[1][0] + CycloNum.one(d),) + a[1][1:]
-            mats = dict(rep.generator_matrices)
-            mats[(1, 2)] = (a[0], row) + a[2:]
-            rep.generator_matrices = mats
+            _inject(rep, 1, 2, (a[0], row) + a[2:])
             return rep
 
         monkeypatch.setattr(spectral, "specialize_rep", broken)
@@ -507,6 +513,68 @@ class TestFlagUnipotencyOracle:
         assert checked == 3 * 17
 
 
+class TestLazySpecialization:
+    """A rep specializes only the words its caller reads; every reader of
+    all generators still sees every A_rs."""
+
+    @staticmethod
+    def _captured(monkeypatch):
+        reps = []
+        real = spectral.specialize_rep
+
+        def capture(d, k):
+            reps.append(real(d, k))
+            return reps[-1]
+
+        monkeypatch.setattr(spectral, "specialize_rep", capture)
+        return reps
+
+    def test_flag_check_reads_a12_the_subtwist_and_the_inner_generators(
+            self, monkeypatch):
+        reps = self._captured(monkeypatch)
+        for d, k in [(3, (1, 1, 1, 2)), (4, (1, 1, 1, 1, 3)),
+                     (5, (1, 2, 3, 4, 2)), (6, (1, 5, 1, 5, 5)),
+                     (3, (1, 1, 1, 1, 2, 1))]:
+            reps.clear()
+            assert flag_unipotency_check(d, k)
+            (rep,) = reps
+            strands = len(k)
+            p = strands - 1
+            a12 = pure_generator(1, 2, strands)
+            delta2 = full_twist(2, p, strands) ** 2
+            inner = {pure_generator(r, s, strands)
+                     for r in range(2, p) for s in range(r + 1, p + 1)}
+            assert set(rep._words) == \
+                {a12, a12.inverse(), delta2, delta2.inverse()} | inner, (d, k)
+
+    def test_commutator_reads_a12_and_the_subtwist(self, monkeypatch):
+        reps = self._captured(monkeypatch)
+        d, k = 5, (1, 2, 3, 4)
+        unipotent_commutator(d, k)
+        (rep,) = reps
+        a12 = pure_generator(1, 2, 4)
+        delta2 = full_twist(2, 4, 4) ** 2
+        assert set(rep._words) == {a12, a12.inverse(), delta2, delta2.inverse()}
+
+    def test_span_closure_reads_the_reflections(self):
+        for d, k in [(3, (1, 1, 2)), (3, (1, 1, 1)), (5, (1, 2, 3, 4, 2))]:
+            rep = specialize_rep(d, k)
+            assert not rep._words
+            burnside_irreducibility(rep)
+            assert set(rep._words) == {pure_generator(i, i + 1, rep.strands)
+                                       for i in range(1, rep.strands)}, (d, k)
+
+    def test_generator_matrices_builds_every_generator(self):
+        rep = specialize_rep(3, (1, 1, 2, 2, 1))
+        rep.matrix(2, 4)
+        gens = rep.generator_matrices
+        assert list(gens) == [(r, s) for r in range(1, 5)
+                              for s in range(r + 1, 6)]
+        assert len(rep._words) == 10
+        for (r, s), m in gens.items():
+            assert m is rep.word_matrix(pure_generator(r, s, 5))
+
+
 class TestBurnside:
     def test_irreducible_case(self):
         rep = specialize_rep(3, (1, 1, 2))
@@ -539,8 +607,7 @@ class TestBurnside:
         for d, k in [(3, (1, 1, 2)), (3, (1, 1, 1)), (2, (1, 1, 1, 1))]:
             rep = specialize_rep(d, k)
             dim_refl, irr_refl = burnside_irreducibility(rep)
-            dim_all = _dense_span(rep, [rep.generator_matrices[key]
-                                        for key in sorted(rep.generator_matrices)])
+            dim_all = _dense_span(rep, list(rep.generator_matrices.values()))
             assert irr_refl == (dim_all == rep.dim ** 2)
             assert (dim_all == dim_refl == rep.dim ** 2) or \
                 (dim_refl <= dim_all < rep.dim ** 2)
@@ -586,7 +653,7 @@ class TestBurnside:
 
 def _reflections(rep):
     """The matrices of s_i^2 = A_{i,i+1} in generator order."""
-    return [rep.generator_matrices[(i, i + 1)] for i in range(1, rep.strands)]
+    return [rep.matrix(i, i + 1) for i in range(1, rep.strands)]
 
 
 def _dense_span(rep, mats):
