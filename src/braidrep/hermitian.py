@@ -12,8 +12,12 @@ every pure word: M^H h M = h exactly.  The determinant is
 (1 - X_1...X_{n+1}) / prod (1 - X_i), so the specialization at roots of unity
 t_i = omega_d^{k_i} degenerates exactly when d divides sum(k).
 
-The invariance check, the determinant recursion and the signatures use
-exact integer arithmetic, with no fractions and no floating point:
+These entries are written once, in ``_form_table``, as numerators over
+products of the factors f_i = 1 - X_i, each numerator prime to its factors.
+``form_matrix``, the cleared form D h and the determinant recursion are all
+read from that table, so no polynomial gcd runs.  The invariance check, the
+determinant recursion and the signatures use exact integer arithmetic, with
+no fractions and no floating point:
 
 - invariance is checked with denominators cleared: D = prod (1 - X_i) is a
   scalar fixed by pure words, and with M' the image of the inverse word,
@@ -27,59 +31,66 @@ exact integer arithmetic, with no fractions and no floating point:
 from __future__ import annotations
 
 from functools import cache
-from math import gcd as _int_gcd
+from math import prod
 
 from . import linalg
 from .braid import BraidWord
-from .cyclo import check_spec_weights, specialize_matrix, units
+from .cyclo import check_embedding, check_spec_weights, specialize_matrix, units
 from .errors import InvariantError, ValidationError
-from .gassner import assert_polynomial_entries, evaluate_word
+from .gassner import evaluate_word
 from .laurent import LaurentPoly, RationalFunction, _div_exact
 
 
-def form_matrix(strands: int) -> tuple:
-    """The n x n tridiagonal skew-hermitian form, n = strands - 1."""
+def _factors(strands: int) -> list:
+    """[f_1, ..., f_m] with f_i = 1 - X_i; list position i - 1 holds f_i."""
+    one = LaurentPoly.one(strands)
+    return [one - LaurentPoly.variable(strands, i) for i in range(1, strands + 1)]
+
+
+def _form_table(strands: int) -> tuple:
+    """The entries of h (module docstring), written once: each nonzero
+    h[a][b] (0-based) as (a, b, num, den), h[a][b] = num / prod_{j in den}
+    f[j] with f = ``_factors(strands)``.  No num shares a factor with its
+    den (1 - X_i X_{i+1} is irreducible and no f_j divides it), so every
+    fraction is already reduced."""
     if strands < 2:
         raise ValidationError("need at least 2 strands")
-    m = strands
-    n = m - 1
-    one = RationalFunction.constant(m, 1)
-    zero = RationalFunction.constant(m, 0)
-    X = [RationalFunction.variable(m, i) for i in range(1, m + 1)]
+    one = LaurentPoly.one(strands)
+    X = [LaurentPoly.variable(strands, i) for i in range(1, strands + 1)]
+    table = []
+    for i in range(strands - 1):
+        table.append((i, i, one - X[i] * X[i + 1], (i, i + 1)))
+        if i + 2 < strands:
+            table.append((i, i + 1, -one, (i + 1,)))
+            table.append((i + 1, i, -X[i + 1], (i + 1,)))
+    return tuple(table)
+
+
+def form_matrix(strands: int) -> tuple:
+    """The n x n tridiagonal skew-hermitian form, n = strands - 1, read from
+    ``_form_table``: reduced fractions, so no gcd runs."""
+    n = strands - 1
+    f = _factors(strands)
+    zero = RationalFunction.constant(strands, 0)
     rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        xi, xi1 = X[i], X[i + 1]
-        rows[i][i] = (one - xi * xi1) / ((one - xi) * (one - xi1))
-        if i + 1 < n:
-            rows[i][i + 1] = -one / (one - X[i + 1])
-            rows[i + 1][i] = -X[i + 1] / (one - X[i + 1])
+    for a, b, num, den in _form_table(strands):
+        rows[a][b] = RationalFunction._raw(
+            num, prod((f[j] for j in den), start=LaurentPoly.one(strands)))
     return tuple(tuple(r) for r in rows)
 
 
 @cache
 def _cleared_form(strands: int) -> tuple:
-    """D * h with D = prod (1 - X_i): a Laurent-polynomial matrix, built once
-    per strand count."""
-    m = strands
-    n = m - 1
-    one = LaurentPoly.one(m)
-    zero = LaurentPoly.zero(m)
-    X = [LaurentPoly.variable(m, i) for i in range(1, m + 1)]
-    factors = [one - x for x in X]
-
-    def d_except(skip):
-        p = one
-        for j, f in enumerate(factors):
-            if j not in skip:
-                p = p * f
-        return p
-
+    """D * h with D = prod f_i: each numerator of ``_form_table`` times the
+    factors missing from its denominator.  A Laurent-polynomial matrix,
+    built once per strand count."""
+    n = strands - 1
+    f = _factors(strands)
+    zero = LaurentPoly.zero(strands)
     rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = (one - X[i] * X[i + 1]) * d_except({i, i + 1})
-        if i + 1 < n:
-            rows[i][i + 1] = -d_except({i + 1})
-            rows[i + 1][i] = -X[i + 1] * d_except({i + 1})
+    for a, b, num, den in _form_table(strands):
+        rows[a][b] = prod((fj for j, fj in enumerate(f) if j not in den),
+                          start=num)
     return tuple(tuple(r) for r in rows)
 
 
@@ -102,9 +113,8 @@ def verify_invariance(w: BraidWord) -> bool:
         raise ValidationError(
             "form invariance is only defined for pure words; "
             f"'{w}' permutes the strands")
-    mat = assert_polynomial_entries(tm, f"verify_invariance({w})")
-    inv = assert_polynomial_entries(evaluate_word(w.inverse(), "reduced"),
-                                    f"verify_invariance({w}) inverse")
+    mat = tm.matrix
+    inv = evaluate_word(w.inverse(), "reduced").matrix
     one, zero = LaurentPoly.one(w.strands), LaurentPoly.zero(w.strands)
     if not linalg.mat_eq(linalg.mat_mul(inv, mat),
                          linalg.identity(len(mat), one, zero)):
@@ -114,21 +124,12 @@ def verify_invariance(w: BraidWord) -> bool:
                          linalg.mat_mul(conjugate_transpose(inv), h))
 
 
-def _numerator(x: RationalFunction, den: LaurentPoly, strands: int) -> LaurentPoly:
-    """The polynomial N with x = N / den, where den must be x's denominator
-    up to sign."""
-    if x.den == den:
-        return x.num
-    if x.den == -den:
-        return -x.num
-    raise InvariantError(
-        f"form entry {x} at {strands} strands does not have denominator {den}",
-        reproducer={"op": "form_determinant", "strands": strands})
-
-
+@cache
 def form_determinant(strands: int) -> RationalFunction:
     """det h, by the tridiagonal recursion without fractions, checked
-    against (1 - X_1...X_{n+1}) / prod (1 - X_i).
+    against (1 - X_1...X_{n+1}) / prod (1 - X_i).  Like the cleared form it
+    depends on the strand count alone, so it is computed once per count and
+    every caller shares the one value (its denominator has 2^m terms).
 
     With f_i = 1 - X_i, D_j the leading principal minor of size j + 1 and
     P_j = f_1...f_{j+2}, the polynomials E_j = P_j D_j satisfy
@@ -136,25 +137,28 @@ def form_determinant(strands: int) -> RationalFunction:
         f_{j+1} E_j = a_j E_{j-1} - b_j f_{j+2} E_{j-2}
 
     (E_{-1} = f_1, E_{-2} = 0), where h[j][j] = a_j / (f_{j+1} f_{j+2}) and
-    h[j][j-1] h[j-1][j] = b_j / f_{j+1}^2; a_j and b_j are read from the
-    entries of ``form_matrix`` and their denominators are checked.  Each
-    step is one exact division.  The closed form needs no gcd:
-    1 - X_1...X_m has degree 1 in X_1 and content 1, so it is irreducible,
-    and it is prime to every f_i.
+    h[j][j-1] h[j-1][j] = b_j / f_{j+1}^2; a_j and b_j are the numerators of
+    ``_form_table``, whose denominators are checked.  Each step is one exact
+    division.  The closed form needs no gcd: 1 - X_1...X_m has degree 1 in
+    X_1 and content 1, so it is irreducible, and it is prime to every f_i.
     """
     m = strands
-    n = m - 1
-    h = form_matrix(strands)
-    one = LaurentPoly.one(m)
-    f = [one - LaurentPoly.variable(m, i) for i in range(1, m + 1)]  # f[i] = f_{i+1}
+    f = _factors(m)  # f[i] = f_{i+1}
     reproducer = {"op": "form_determinant", "strands": strands}
+    nums = {}
+    for a, b, num, den in _form_table(m):
+        want = (a, a + 1) if a == b else (max(a, b),)
+        if den != want:
+            raise InvariantError(
+                f"form entry h[{a}][{b}] at {strands} strands does not have "
+                f"denominator {''.join(f'({f[j]})' for j in want)}",
+                reproducer=reproducer)
+        nums[a, b] = num
     prev2, prev1 = LaurentPoly.zero(m), f[0]
-    for j in range(n):
-        rhs = _numerator(h[j][j], f[j] * f[j + 1], m) * prev1
+    for j in range(m - 1):
+        rhs = nums[j, j] * prev1
         if j:
-            b = (_numerator(h[j][j - 1], f[j], m)
-                 * _numerator(h[j - 1][j], f[j], m))
-            rhs = rhs - b * f[j + 1] * prev2
+            rhs = rhs - nums[j, j - 1] * nums[j - 1, j] * f[j + 1] * prev2
         try:
             cur = _div_exact(rhs, f[j])
         except ArithmeticError:
@@ -162,15 +166,12 @@ def form_determinant(strands: int) -> RationalFunction:
                 f"form determinant recursion at {strands} strands: "
                 f"{rhs} is not divisible by {f[j]}", reproducer=reproducer) from None
         prev2, prev1 = prev1, cur
-    num = one - LaurentPoly.monomial(m, (1,) * m)
-    den = one
-    for fi in f:
-        den = den * fi
+    num = LaurentPoly.one(m) - LaurentPoly.monomial(m, (1,) * m)
+    den = prod(f, start=LaurentPoly.one(m))
     if prev1 != num:
         raise InvariantError(
-            f"form determinant mismatch at {strands} strands: "
-            f"{RationalFunction(prev1, den)} vs {RationalFunction._raw(num, den)}",
-            reproducer=reproducer)
+            f"form determinant mismatch at {strands} strands: numerator "
+            f"{prev1} over {den}, expected {num}", reproducer=reproducer)
     return RationalFunction._raw(num, den)
 
 
@@ -208,8 +209,7 @@ def signature(d: int, k: tuple, f: int) -> tuple:
     """
     k = tuple(k)
     check_spec_weights(d, k)
-    if _int_gcd(f, d) != 1:
-        raise ValidationError(f"embedding index {f} not coprime to {d}")
+    check_embedding(d, f)
     if (sum(k) * f) % d == 0:
         raise ValidationError(
             f"form is degenerate at d={d}, k={k}: signature undefined")

@@ -1,13 +1,15 @@
-"""Small exact linear algebra over field-like elements.
+"""Small exact linear algebra over rings and fields.
 
-Matrices are immutable tuples of row tuples.  Entries are ``CycloNum`` or
-``RationalFunction`` field elements; besides the ring operations only
-``is_zero``, ``is_one``, ``inverse`` and ``x ** 0`` (the field's one) are
-used.  Every elimination runs through one ``Echelon``, a row echelon form
-built one row at a time with rows scaled to one at their pivots: the span
-closure of ``spectral``, ``kernel_basis``, ``determinant`` and
-``mat_inverse``.  Sizes here are tiny (matrices are at most 9 x 9), so no
-pivot-size heuristics are used.
+Matrices are immutable tuples of row tuples.  The products and comparisons
+(``mat_mul``, ``mat_vec``, ``mat_sub``, ``mat_eq``) use only the ring
+operations, and run over ``CycloNum`` and over ``LaurentPoly``
+(``hermitian.verify_invariance``).  Elimination needs a field and runs over
+``CycloNum``: besides the ring operations it uses ``is_zero``, ``is_one``,
+``inverse`` and ``x ** 0`` (the field's one).  Every elimination runs
+through one ``Echelon``, a row echelon form built one row at a time with
+rows scaled to one at their pivots: the span closure of ``spectral``,
+``kernel_basis``, ``determinant`` and ``mat_inverse``.  Sizes here are tiny
+(matrices are at most 9 x 9), so no pivot-size heuristics are used.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from . import linalg
 from .braid import BraidWord, full_twist, pure_generator
 from .cyclo import CycloNum, check_spec_weights, specialize_matrix
 from .errors import InvariantError, ValidationError
-from .gassner import assert_polynomial_entries, evaluate_word
+from .gassner import evaluate_word
 
 
 # -- the symbolic cache (a matrix depends on the word only) -------------------
@@ -49,8 +49,7 @@ def _symbolic_matrix(word: BraidWord) -> tuple:
             raise ValidationError(
                 f"'{word}' permutes the strands; only pure words have a "
                 "specialized matrix")
-        cached = assert_polynomial_entries(tm, f"{word} reduced")
-        _symbolic_pure[word] = cached
+        cached = _symbolic_pure[word] = tm.matrix
     return cached
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd as _int_gcd
 
-from .cyclo import check_spec_weights, specialize_poly, units
+from .cyclo import check_embedding, check_spec_weights, specialize_poly, units
 from .errors import InvariantError, ValidationError
 from .laurent import LaurentPoly
 
@@ -212,8 +212,7 @@ def dm_report(spec: CoverSpec, f: int) -> DMReport:
     weights must make 1/(1 - mu_i - mu_j) a half integer, every other pair
     (including the infinity pairs) an integer.
     """
-    if _int_gcd(f, spec.d) != 1:
-        raise ValidationError(f"exponent {f} not coprime to d={spec.d}")
+    check_embedding(spec.d, f)
     d = spec.d
     mu = tuple(Fraction((ki * f) % d, d) for ki in spec.k)
     mu_inf = 2 - sum(mu)
@@ -254,8 +253,7 @@ def dm_report(spec: CoverSpec, f: int) -> DMReport:
 def dm_regime_bound(spec: CoverSpec, f: int) -> bool:
     """True iff mu_inf > 0 at exponent f; in that case n <= 2d - 1 is forced
     (each fractional part is >= 1/d), and that bound is asserted."""
-    if _int_gcd(f, spec.d) != 1:
-        raise ValidationError(f"exponent {f} not coprime to d={spec.d}")
+    check_embedding(spec.d, f)
     d = spec.d
     mu_inf = 2 - sum(Fraction((ki * f) % d, d) for ki in spec.k)
     if mu_inf <= 0:

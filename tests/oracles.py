@@ -8,7 +8,7 @@ from braidrep import linalg, spectral
 from braidrep.artin import FreeWord, artin_apply, derive_unreduced_matrix
 from braidrep.braid import BraidWord, full_twist, pure_generator
 from braidrep.cyclo import specialize_poly
-from braidrep.gassner import assert_polynomial_entries, evaluate_word
+from braidrep.gassner import evaluate_word
 from braidrep.laurent import LaurentPoly, RationalFunction
 
 
@@ -50,6 +50,13 @@ def scalar_matrix_check(matrix: tuple, scalar) -> bool:
     return True
 
 
+def lift(matrix: tuple) -> tuple:
+    """A LaurentPoly matrix as a RationalFunction one, for the tests that
+    need field arithmetic (inverses, determinants, fraction-valued vectors)."""
+    return tuple(tuple(RationalFunction.from_poly(x) for x in row)
+                 for row in matrix)
+
+
 # -- Gassner matrices -----------------------------------------------------------
 
 def closed_form_pure_matrix(r: int, s: int, strands: int) -> tuple:
@@ -83,8 +90,7 @@ def oracle_equivalence(r: int, s: int, strands: int) -> bool:
     the braid-word evaluation, the Artin/semidirect derivation, and the
     classical closed form."""
     word = pure_generator(r, s, strands)
-    evaluated = assert_polynomial_entries(
-        evaluate_word(word, "unreduced"), f"A_{r}{s} unreduced")
+    evaluated = evaluate_word(word, "unreduced").matrix
     derived = derive_unreduced_matrix(word)
     closed = closed_form_pure_matrix(r, s, strands)
     return evaluated == derived and derived == closed
@@ -136,10 +142,31 @@ def reduced_block_of_unreduced(w: BraidWord) -> tuple:
     m = evaluate_word(w, "unreduced")
     assert m.is_linear(), "basis-change comparison needs a pure word"
     p = basis_change_e_to_eps(w.strands)
-    conj = linalg.mat_mul(linalg.mat_inverse(p), linalg.mat_mul(m.matrix, p))
+    conj = linalg.mat_mul(linalg.mat_inverse(p), linalg.mat_mul(lift(m.matrix), p))
     n = w.strands - 1
     block = tuple(tuple(conj[a][b] for b in range(n)) for a in range(n))
     return block, conj
+
+
+# -- the form ------------------------------------------------------------------
+
+def form_matrix_by_division(strands: int) -> tuple:
+    """h built entry by entry with RationalFunction division, each entry
+    reduced by the gcd: the reference for ``hermitian.form_matrix``, which
+    reads the reduced fractions from its closed-form table."""
+    m = strands
+    n = m - 1
+    one = RationalFunction.constant(m, 1)
+    zero = RationalFunction.constant(m, 0)
+    X = [RationalFunction.variable(m, i) for i in range(1, m + 1)]
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        xi, xi1 = X[i], X[i + 1]
+        rows[i][i] = (one - xi * xi1) / ((one - xi) * (one - xi1))
+        if i + 1 < n:
+            rows[i][i + 1] = -one / (one - X[i + 1])
+            rows[i + 1][i] = -X[i + 1] / (one - X[i + 1])
+    return tuple(tuple(r) for r in rows)
 
 
 # -- the one-variable (Burau) picture -------------------------------------------
@@ -164,13 +191,14 @@ def collapse(x: RationalFunction) -> RationalFunction:
 
 
 def burau_specialize(m) -> tuple:
-    """Substitute X_i -> q for every i, landing in one-variable fractions.
+    """Substitute X_i -> q for every i, landing in one-variable Laurent
+    polynomials.
 
     All variables collapse, so the permutation part acts trivially afterwards
     and the result is an honest matrix (of the full braid group on the
     reduced basis).
     """
-    return tuple(tuple(collapse(x) for x in row) for row in m.matrix)
+    return tuple(tuple(collapse_poly(x) for x in row) for row in m.matrix)
 
 
 # -- specializations ------------------------------------------------------------

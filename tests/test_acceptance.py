@@ -20,7 +20,7 @@ from braidrep.hermitian import (
     signature,
     verify_invariance,
 )
-from braidrep.laurent import RationalFunction
+from braidrep.laurent import LaurentPoly
 from braidrep.spectral import (
     degeneracy_agreement,
     flag_unipotency_check,
@@ -110,9 +110,9 @@ def test_c04_determinant_identity():
 def test_c05_central_scalars():
     for strands in range(2, 6):
         m = evaluate_word(full_twist(1, strands, strands) ** 2, "reduced")
-        scalar = RationalFunction.constant(strands, 1)
+        scalar = LaurentPoly.one(strands)
         for i in range(1, strands + 1):
-            scalar = scalar * RationalFunction.variable(strands, i)
+            scalar = scalar * LaurentPoly.variable(strands, i)
         assert m.is_linear()
         assert scalar_matrix_check(m.matrix, scalar), strands
     rng = random.Random(1)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from braidrep import braid, cli, cyclo
+from braidrep import braid, cli, cyclo, gassner, hermitian, laurent, spectral
 from braidrep.cli import (
     COMMANDS,
     MAX_N,
@@ -206,6 +206,17 @@ class TestExitCodes:
         assert doc["kind"] == "validation"
         assert "coprime" in doc["error"]
 
+    @pytest.mark.parametrize("command", ["dm", "signature"])
+    @pytest.mark.parametrize("f", [0, -1, 5, 7])
+    def test_embedding_outside_units_is_2(self, command, f):
+        # f in {0, -1, d, d + 2} at d = 5: only 1 <= f <= d - 1 coprime to d
+        # names an embedding, so every other value is rejected, not reduced
+        code, text = run_cli([command, "--d", "5", "--k", "1,2,3", "--f", str(f)])
+        assert code == 2, text
+        doc = check_doc(text)
+        assert doc["kind"] == "validation"
+        assert f"f={f} must lie in 1..4" in doc["error"]
+
     def test_missing_argument_is_2(self):
         code, text = run_cli(["verify", "--n", "3"])
         assert code == 2
@@ -286,6 +297,38 @@ class TestExitCodes:
         doc = check_doc(text)
         assert doc["kind"] == "invariant"
         assert doc["reproducer"]["op"] == "form"
+
+
+class TestNoGcdOnCliPaths:
+    """No command reaches the multivariate gcd: words and the form are
+    built fraction-free."""
+
+    CALLS = {
+        "matrix": ["--n", "3", "--word", "s1^-1 A 1 3 s2", "--basis", "unreduced"],
+        "verify": ["--n", "3", "--word", "A 1 3 s2^-2 A 2 4"],
+        "form": ["--n", str(MAX_N)],
+        "specialize": ["--d", "12", "--k", "1,5,7,11,1,5,7,11,1"],
+        "spectral": ["--d", "3", "--k", "1,1,1,2,2"],
+        "decompose": ["--d", "6", "--k", "1,1,5,5"],
+        "dm": ["--d", "18", "--k", "1,1,1,1", "--f", "7"],
+        "classify": ["--d", "6", "--k", "1,1,1,1"],
+        "signature": ["--d", "5", "--k", "1,2,3"],
+        "sweep": ["--d", "3", "--n", "2"],
+    }
+
+    def test_every_command_without_poly_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("laurent.poly_gcd called")
+
+        monkeypatch.setattr(laurent, "poly_gcd", refuse)
+        # start cold, so no cache hides a call
+        hermitian._cleared_form.cache_clear()
+        gassner._generator_cache.clear()
+        spectral._symbolic_pure.clear()
+        assert set(self.CALLS) == set(COMMANDS)
+        for command, flags in self.CALLS.items():
+            code, text = run_cli([command] + flags)
+            assert code == 0, (command, text)
 
 
 class TestBudgets:

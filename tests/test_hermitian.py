@@ -24,12 +24,21 @@ from braidrep.hermitian import (
     specialize_form,
     verify_invariance,
 )
-from braidrep.laurent import RationalFunction
-from oracles import random_pure_word
+from braidrep.cli import MAX_N
+from braidrep.laurent import LaurentPoly, RationalFunction
+from oracles import form_matrix_by_division, random_pure_word
 
 
 def RF(m, i):
     return RationalFunction.variable(m, i)
+
+
+def _factor_product(js, strands):
+    """prod (1 - X_{j+1}) over the 0-based positions js, a LaurentPoly."""
+    out = LaurentPoly.one(strands)
+    for j in js:
+        out = out * (1 - LaurentPoly.variable(strands, j + 1))
+    return out
 
 
 def _eigen_signatures(d, k, fs):
@@ -75,6 +84,24 @@ class TestFormMatrix:
             assert conjugate_transpose(h) == tuple(
                 tuple(-x for x in row) for row in h)
 
+    def test_matches_division_reference(self):
+        # every entry of h, and of D h with D = prod (1 - X_i), against h
+        # built by RationalFunction division and gcd reduction, on every
+        # strand count the CLI accepts
+        for strands in range(2, MAX_N + 2):
+            ref = form_matrix_by_division(strands)
+            h = form_matrix(strands)
+            cleared = hermitian._cleared_form(strands)
+            d = _factor_product(range(strands), strands)
+            n = strands - 1
+            for a in range(n):
+                for b in range(n):
+                    x = ref[a][b]
+                    assert h[a][b] == x, (strands, a, b)
+                    assert str(h[a][b]) == str(x), (strands, a, b)
+                    # D h = D x.num / x.den, cross-multiplied in the Laurent ring
+                    assert cleared[a][b] * x.den == d * x.num, (strands, a, b)
+
 
 class TestInvariance:
     def test_pure_generators(self):
@@ -115,26 +142,31 @@ class TestDeterminant:
 
     @staticmethod
     def _corrupt(monkeypatch, a, b, change):
-        """Make form_matrix return h with entry [a][b] replaced by change(h[a][b])."""
-        real = hermitian.form_matrix
+        """Make the closed-form table of h carry (num, den) = change(num, den,
+        strands) at entry [a][b]; den names factors f_{j+1} = 1 - X_{j+1}."""
+        real = hermitian._form_table
 
         def corrupted(strands):
-            rows = [list(r) for r in real(strands)]
-            rows[a][b] = change(rows[a][b], strands)
-            return tuple(tuple(r) for r in rows)
+            return tuple(
+                (r, c) + (change(num, den, strands) if (r, c) == (a, b)
+                          else (num, den))
+                for r, c, num, den in real(strands))
 
-        monkeypatch.setattr(hermitian, "form_matrix", corrupted)
+        monkeypatch.setattr(hermitian, "_form_table", corrupted)
+        form_determinant.cache_clear()  # so the corrupted table is read
 
     @pytest.mark.parametrize("a,b", [(0, 0), (2, 2), (2, 1), (1, 2)])
     def test_wrong_numerator_raises(self, monkeypatch, a, b):
         self._corrupt(monkeypatch, a, b,
-                      lambda x, m: RationalFunction(x.num + x.den, x.den))
+                      lambda num, den, m: (num + _factor_product(den, m), den))
         with pytest.raises(InvariantError):
             form_determinant(5)
 
     @pytest.mark.parametrize("a,b", [(0, 0), (2, 2), (2, 1), (1, 2)])
     def test_wrong_denominator_raises(self, monkeypatch, a, b):
-        self._corrupt(monkeypatch, a, b, lambda x, m: x / (1 - RF(m, 1) * RF(m, 3)))
+        # one more factor f_j, with j the first one the entry lacks
+        self._corrupt(monkeypatch, a, b, lambda num, den, m: (
+            num, den + (min(set(range(m)) - set(den)),)))
         with pytest.raises(InvariantError, match="does not have denominator"):
             form_determinant(5)
 
