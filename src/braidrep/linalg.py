@@ -152,21 +152,22 @@ def determinant(a: tuple):
     return -det if inversions % 2 else det
 
 
-def kernel_basis(rows: list, one) -> list:
+def kernel_basis(rows, one) -> list:
     """Basis of the right kernel of a stacked row list, exactly.
 
-    The rows are inserted into one echelon form until it reaches full rank.
-    Otherwise the form is back-substituted to reduced form, and each free
-    column f gives the kernel vector with 1 at f, 0 at the other free
-    columns and -row_c[f] at each pivot column c.  ``one`` is the field's
-    multiplicative identity (needed to build the free coordinates).  Returns
-    a list of tuples; empty when the kernel is trivial.
+    ``rows`` is any iterable of equal-length rows; they are inserted into one
+    echelon form and read no further once it reaches full rank (the kernel
+    is then trivial).  Otherwise the form is back-substituted to reduced
+    form, and each free column f gives the kernel vector with 1 at f, 0 at
+    the other free columns and -row_c[f] at each pivot column c.  ``one`` is
+    the field's multiplicative identity (needed to build the free
+    coordinates).  Returns a list of tuples; empty when the kernel is trivial
+    or there are no rows.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
+    ncols = 0
     ech = Echelon()
     for r in rows:
+        ncols = len(r)
         ech.insert(list(r))
         if len(ech.rows) == ncols:
             return []

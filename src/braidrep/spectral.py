@@ -5,22 +5,28 @@ not depend on the weights), and ``SpecializedRep.word_matrix`` specializes
 it once per representation, on first use: one cheap monomial-evaluation
 pass, and only for the words the caller reads (the flag check reads A_12,
 the sub-twist and the generators on strands 2..p; the span closure reads the
-reflections s_i^2).  The heavy predicate here is the span-closure
+reflections s_i^2, and so does the fixed space unless the spec is
+degenerate).  The heavy predicate here is the span-closure
 irreducibility test (Burnside: the reflections s_i^2 generate M_n exactly
-when the representation is irreducible).  s_i^2 - 1 is nonzero in one row only, so the closure works in
-row blocks: n independent ``linalg.Echelon`` forms of length-n rows, one per
-matrix row.  An inserted row costs one ``CycloNum`` inverse (the Galois norm,
-integer arithmetic only).  The identity is never reduced; it adds one
-dimension unless every block holds its own unit vector.  In the degenerate
-case the unipotent commutator u = [A, Delta'^2], A = A_12 = s_1^2, is built
-once per call as the rank-one update u = A + v y^T of A (A - 1 and A^-1 - 1
-live in row 0), and its flag unipotency is proved from the pure generators
-rather than sampled over conjugates.  No elimination and no matrix product
-runs on that path: inverse matrices (A_rs^-1, the inverse sub-twist) are the
-matrices of the inverse words, whose entries are Laurent, and the basis (w,
-eps_2, ..., eps_n) differs from the standard one in one vector, so a matrix
-is rewritten in it by a rank-one update with one ``CycloNum`` inverse,
-1 / w_1.
+when the representation is irreducible).  s_i^2 - 1 is nonzero in one row
+only, so the closure works in row blocks: n independent ``linalg.Echelon``
+forms of length-n rows, one per matrix row.  A matrix it explores differs
+from its parent in one row, and only the at most 3 reflections that read
+that row can offer a new candidate, so only those are tried.  An inserted
+row costs one ``CycloNum`` inverse (the Galois norm, integer arithmetic
+only).  The identity is never reduced; it adds one dimension unless every
+block holds its own unit vector.  The fixed space reads the rows of A - 1
+lazily, the reflections first, and stops at full rank, so off the
+degenerate case it specializes no generator beyond the reflections.  In
+the degenerate case the unipotent commutator u = [A, Delta'^2], A = A_12 =
+s_1^2, is built once per call as the rank-one update u = A + v y^T of A
+(A - 1 and A^-1 - 1 live in row 0), and its flag unipotency is proved from
+the pure generators rather than sampled over conjugates.  No elimination
+and no matrix product runs on that path: inverse matrices (A_rs^-1, the
+inverse sub-twist) are the matrices of the inverse words, whose entries are
+Laurent, and the basis (w, eps_2, ..., eps_n) differs from the standard one
+in one vector, so a matrix is rewritten in it by a rank-one update with one
+``CycloNum`` inverse, 1 / w_1.
 """
 
 from __future__ import annotations
@@ -70,14 +76,6 @@ class SpecializedRep:
     @property
     def dim(self) -> int:
         return self.strands - 1
-
-    @property
-    def generator_matrices(self) -> dict:
-        """(r, s) -> A_rs for every pure generator, in (r, s) order;
-        specializes the ones not yet read."""
-        return {(r, s): self.matrix(r, s)
-                for r in range(1, self.strands)
-                for s in range(r + 1, self.strands + 1)}
 
     def word_matrix(self, word: BraidWord) -> tuple:
         """The specialized matrix of a pure word, from the symbolic cache;
@@ -360,8 +358,9 @@ def burnside_irreducibility(rep: SpecializedRep):
 
     By Burnside's theorem the reflections generate M_n exactly when the
     representation is irreducible.  The algebra is closed from the identity
-    under left products, in row blocks: s_i^2 - 1 is nonzero in matrix row
-    i - 1 only, so a candidate s_i^2 b - b lives in that one row, and one
+    under left products, in row blocks: s_i^2 - 1 = e_idx r_i^T is nonzero in
+    matrix row idx = i - 1 only, so the candidate s_i^2 b - b = e_idx
+    delta_i(b), with delta_i(b) = r_i^T b, lives in that one row, and one
     ``linalg.Echelon`` of length-n rows is kept per matrix row a (the space
     V_a).
     The identity is never reduced.  The span S = span(I) + V_0 + ... +
@@ -369,6 +368,15 @@ def burnside_irreducibility(rep: SpecializedRep):
     is closed under left products and is the algebra.  I lies in V exactly
     when every V_a holds its unit vector e_a; so span_dim = sum_a dim V_a,
     plus 1 otherwise.
+
+    Only the reflections that read the changed row are tried.  A child b =
+    b' + e_idx delta has delta_j(b) = delta_j(b') + r_j[idx] delta, so when
+    r_j[idx] = 0 its candidate is its parent's.  By induction from the
+    identity, where every reflection is tried, every candidate of the parent
+    lies in its block by the time the child is explored (a parent tries its
+    candidates before any child is popped), so skipping them changes no
+    block.  r_j has support in columns j - 2..j, so an explored matrix other
+    than the identity offers at most 3 candidates instead of n.
     """
     n = rep.dim
     d = rep.d
@@ -378,14 +386,22 @@ def burnside_irreducibility(rep: SpecializedRep):
     blocks = [linalg.Echelon() for _ in range(n)]
     rank = 0
     reflections = rep.reflection_rows()
-    worklist = deque([linalg.identity(n, one, zero)])
+    # readers[c]: the reflections whose row r_j has a nonzero entry in column
+    # c, i.e. whose candidate changes when matrix row c does
+    readers = [[] for _ in range(n)]
+    for refl in reflections:
+        for col, _ in refl[1]:
+            readers[col].append(refl)
+    # each entry is a matrix and the reflections to try on it: all of them
+    # for the identity, the readers of the row it changed otherwise
+    worklist = deque([(linalg.identity(n, one, zero), reflections)])
     # every insert adds an echelon row, so at most n^2 + 1 matrices are ever
     # explored; the cap only guards against an implementation bug
     produced = 0
     cap = 2 * (nsq + 1) * len(reflections)
     while worklist and rank < nsq:
-        b = worklist.popleft()
-        for idx, entries in reflections:
+        b, tries = worklist.popleft()
+        for idx, entries in tries:
             produced += 1
             if produced > cap:
                 raise InvariantError(
@@ -400,28 +416,41 @@ def burnside_irreducibility(rep: SpecializedRep):
                 continue
             rank += 1
             row = tuple(x + y for x, y in zip(b[idx], delta))
-            worklist.append(b[:idx] + (row,) + b[idx + 1:])
+            worklist.append((b[:idx] + (row,) + b[idx + 1:], readers[idx]))
     units = all(blocks[a].reduce([one if t == a else zero for t in range(n)])
                 is None for a in range(n))
     span_dim = rank if units else rank + 1
     return span_dim, span_dim == nsq
 
 
-def fixed_vector_space_dim(rep: SpecializedRep) -> int:
-    """dim of the simultaneous fixed space of all pure-generator matrices."""
-    n = rep.dim
+def _generator_rows(rep: SpecializedRep):
+    """The rows of A - 1 for every pure generator A, produced lazily: the
+    reflections A_{i,i+1} first, then the other A_rs in (r, s) order.  Each
+    generator is specialized only when its first row is asked for."""
     one = CycloNum.one(rep.d)
-    zero = CycloNum.zero(rep.d)
-    rows = []
-    for m in rep.generator_matrices.values():
-        for a in range(n):
-            row = list(m[a])
-            row[a] = row[a] - one
-            if any(not x.is_zero() for x in row):
-                rows.append(tuple(row))
-    if not rows:
-        return n
-    return len(linalg.kernel_basis(rows, one))
+    strands = rep.strands
+    pairs = [(i, i + 1) for i in range(1, strands)]
+    pairs += [(r, s) for r in range(1, strands)
+              for s in range(r + 2, strands + 1)]
+    for r, s in pairs:
+        for a, row in enumerate(rep.matrix(r, s)):
+            yield row[:a] + (row[a] - one,) + row[a + 1:]
+
+
+def fixed_vector_space_dim(rep: SpecializedRep) -> int:
+    """dim of the simultaneous fixed space of all pure-generator matrices:
+    the kernel of the rows of every A_rs - 1.
+
+    The reflections come first, and ``linalg.kernel_basis`` stops at full
+    rank.  Their nonzero rows are the rows r_i of ``reflection_rows``, and
+    these have rank n exactly when the spec is non-degenerate: a vector fixed
+    by every reflection is fixed by the algebra they generate, which is M_n
+    when the rep is irreducible, as it is off the degenerate case (the
+    paper's dichotomy), while a degenerate rep fixes ``invariant_coords``.
+    So a non-degenerate rep specializes no generator beyond the n
+    reflections, and a degenerate one reads every A_rs.
+    """
+    return len(linalg.kernel_basis(_generator_rows(rep), CycloNum.one(rep.d)))
 
 
 def degeneracy_agreement(d: int, k: tuple) -> dict:

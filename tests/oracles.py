@@ -216,6 +216,14 @@ def all_unit_subintervals(d: int, k: tuple, lo: int, hi: int) -> list:
     return out
 
 
+def generator_matrices(rep) -> dict:
+    """(r, s) -> A_rs for every pure generator of rep, in (r, s) order;
+    specializes the ones not yet read."""
+    return {(r, s): rep.matrix(r, s)
+            for r in range(1, rep.strands)
+            for s in range(r + 1, rep.strands + 1)}
+
+
 def central_scalar_matches(d: int, k: tuple) -> bool:
     """rho(Delta^2) specialized equals (t_1...t_{n+1}) * identity."""
     rep = spectral.specialize_rep(d, k)
@@ -227,7 +235,7 @@ def burau_matches_gassner_at_ones(strands: int, d: int) -> bool:
     """With every weight 1, the specialized matrices equal the one-variable
     matrices evaluated at omega_d, generator by generator."""
     rep = spectral.specialize_rep(d, (1,) * strands)
-    for (r, s), mat in rep.generator_matrices.items():
+    for (r, s), mat in generator_matrices(rep).items():
         bur = burau_specialize(
             evaluate_word(pure_generator(r, s, strands), "reduced"))
         for a in range(rep.dim):

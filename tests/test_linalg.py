@@ -208,6 +208,26 @@ class TestKernel:
             if rank is not None:
                 assert len(basis) == 4 - rank
 
+    def test_rows_from_a_generator(self):
+        # any iterable of rows; nothing past full rank is read
+        rng = random.Random(26)
+        for d in CYCLO_ORDERS:
+            one = CycloNum.one(d)
+            for ncols in range(1, 5):
+                for rank in range(ncols + 1):
+                    rows = _rank_r_rows(rng, d, rank + 2, ncols, rank)
+                    basis = linalg.kernel_basis(iter(rows), one)
+                    assert basis == linalg.kernel_basis(rows, one)
+                    assert len(basis) == ncols - rank
+        one = CycloNum.one(5)
+
+        def rows():
+            yield from linalg.identity(3, one, one - one)
+            raise AssertionError("read past full rank")
+
+        assert linalg.kernel_basis(rows(), one) == []
+        assert linalg.kernel_basis(iter(()), one) == []
+
     def test_empty_and_full_rank(self):
         one = CycloNum.one(5)
         ident = list(linalg.identity(3, one, one - one))

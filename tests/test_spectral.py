@@ -26,6 +26,7 @@ from oracles import (
     burau_matches_gassner_at_ones,
     central_scalar_matches,
     commutator_in_w_basis,
+    generator_matrices,
 )
 
 
@@ -94,7 +95,7 @@ class TestSpecializeRep:
             k = tuple(rng.choice(coprime_units(d)) for _ in range(strands))
             rep = specialize_rep(d, k)
             h = specialize_form(d, k)
-            for key, m in rep.generator_matrices.items():
+            for key, m in generator_matrices(rep).items():
                 mh = tuple(tuple(x.conjugate() for x in col) for col in zip(*m))
                 assert linalg.mat_eq(linalg.mat_mul(mh, linalg.mat_mul(h, m)), h)
 
@@ -137,10 +138,10 @@ class TestSpecializeRep:
 
 def _inject(rep, r, s, m):
     """Put m in rep's word cache as the matrix of A_rs, so that every reader
-    of A_rs (``matrix``, ``generator_matrices``, ``reflection_rows``, the
-    flag check) sees m."""
+    of A_rs (``matrix``, ``oracles.generator_matrices``, ``reflection_rows``,
+    the fixed space, the flag check) sees m."""
     rep._words[pure_generator(r, s, rep.strands)] = m
-    assert rep.matrix(r, s) is m and rep.generator_matrices[(r, s)] is m
+    assert rep.matrix(r, s) is m and generator_matrices(rep)[(r, s)] is m
 
 
 def _reflection_formula(d, k):
@@ -346,7 +347,7 @@ class TestRankOneBasis:
             w = rep.invariant_coords()
             basis = spectral._adapted_basis(rep)
             mats = [spectral._commutator(rep, p)]
-            mats += list(rep.generator_matrices.values())
+            mats += list(generator_matrices(rep).values())
             for m in mats:
                 assert spectral._in_basis(m, basis) == _dense_in_basis(m, w), \
                     (d, k)
@@ -365,7 +366,7 @@ class TestRankOneBasis:
                     rep = specialize_rep(d, k)
                     ident = linalg.identity(rep.dim, CycloNum.one(d),
                                             CycloNum.zero(d))
-                    for r, s in rep.generator_matrices:
+                    for r, s in generator_matrices(rep):
                         prod = linalg.mat_mul(rep.matrix(r, s),
                                               rep.matrix_inverse(r, s))
                         assert linalg.mat_eq(prod, ident), (d, k, r, s)
@@ -564,10 +565,31 @@ class TestLazySpecialization:
             assert set(rep._words) == {pure_generator(i, i + 1, rep.strands)
                                        for i in range(1, rep.strands)}, (d, k)
 
+    def test_fixed_space_reads_the_reflections_unless_degenerate(self):
+        # the reflections have full rank off the degenerate case, so the
+        # kernel solve stops before any other generator is specialized
+        for d, k in [(3, (1, 1, 2)), (5, (1, 2, 3, 4, 2)), (7, (1, 1, 1, 1, 1)),
+                     (12, (1, 5, 7, 11, 1, 5))]:
+            rep = specialize_rep(d, k)
+            assert not rep.is_degenerate()
+            assert fixed_vector_space_dim(rep) == 0
+            assert set(rep._words) == {pure_generator(i, i + 1, rep.strands)
+                                       for i in range(1, rep.strands)}, (d, k)
+        for d, k in [(3, (1, 1, 1)), (2, (1, 1, 1, 1)), (5, (1, 2, 3, 4, 1, 4)),
+                     (8, (1, 3, 5, 7, 1, 7))]:
+            rep = specialize_rep(d, k)
+            assert rep.is_degenerate()
+            assert fixed_vector_space_dim(rep) == 1
+            strands = rep.strands
+            assert set(rep._words) == {
+                pure_generator(r, s, strands)
+                for r in range(1, strands)
+                for s in range(r + 1, strands + 1)}, (d, k)
+
     def test_generator_matrices_builds_every_generator(self):
         rep = specialize_rep(3, (1, 1, 2, 2, 1))
         rep.matrix(2, 4)
-        gens = rep.generator_matrices
+        gens = generator_matrices(rep)
         assert list(gens) == [(r, s) for r in range(1, 5)
                               for s in range(r + 1, 6)]
         assert len(rep._words) == 10
@@ -607,7 +629,7 @@ class TestBurnside:
         for d, k in [(3, (1, 1, 2)), (3, (1, 1, 1)), (2, (1, 1, 1, 1))]:
             rep = specialize_rep(d, k)
             dim_refl, irr_refl = burnside_irreducibility(rep)
-            dim_all = _dense_span(rep, list(rep.generator_matrices.values()))
+            dim_all = _dense_span(rep, list(generator_matrices(rep).values()))
             assert irr_refl == (dim_all == rep.dim ** 2)
             assert (dim_all == dim_refl == rep.dim ** 2) or \
                 (dim_refl <= dim_all < rep.dim ** 2)
@@ -649,6 +671,37 @@ class TestBurnside:
                         assert span_dim == pinned, (d, k)
                     seen.add((n, span_dim))
         assert seen == {(1, 1), (2, 4), (2, 3), (3, 9), (3, 7)}
+
+    def test_closed_form_span_dim_where_pruning_skips(self):
+        """The closed form of ``test_closed_form_span_dim`` on 5-9 strands,
+        where a changed row is read by at most 3 of the n reflections, so
+        the closure skips most candidates.  Half the specs are degenerate."""
+        rng = random.Random(17)
+        seen = set()
+        for d in (5, 7, 8, 12):
+            units = coprime_units(d)
+            for strands in range(5, 10):
+                for degenerate in (False, True, False, True):
+                    k = [rng.choice(units) for _ in range(strands)]
+                    last = -sum(k[:-1]) % d
+                    if degenerate and last in units:
+                        k[-1] = last
+                    elif not degenerate and k[-1] == last:
+                        k[-1] = rng.choice([u for u in units if u != last])
+                    rep = specialize_rep(d, tuple(k))
+                    n = rep.dim
+                    one = CycloNum.one(d)
+                    ident = linalg.identity(n, one, CycloNum.zero(d))
+                    rows = [linalg.mat_sub(m, ident)[a]
+                            for a, m in enumerate(_reflections(rep))]
+                    rank = n - len(linalg.kernel_basis(rows, one))
+                    span_dim, irreducible = burnside_irreducibility(rep)
+                    assert span_dim == n * rank + (1 if rank < n else 0), \
+                        (d, k)
+                    assert irreducible == (span_dim == n * n)
+                    assert irreducible != rep.is_degenerate(), (d, k)
+                    seen.add((n, rep.is_degenerate()))
+        assert seen == {(n, deg) for n in range(4, 9) for deg in (False, True)}
 
 
 def _reflections(rep):
@@ -704,7 +757,7 @@ class TestFixedVectors:
             assert rep.is_degenerate()
             w = rep.invariant_coords()
             assert any(not x.is_zero() for x in w)
-            for m in rep.generator_matrices.values():
+            for m in generator_matrices(rep).values():
                 assert linalg.mat_vec(m, w) == w
 
 
