@@ -3,14 +3,16 @@
 Subpackages by theme:
 
 - ``laurent`` / ``cyclo``: exact rings (multivariate Laurent polynomials over
-  Z, their fraction field, cyclotomic numbers).
+  Z, their fraction field for the symbolic form, cyclotomic numbers) and the
+  specialization of Laurent polynomials at roots of unity.
 - ``braid``: braid words, pure-braid generators, half twists, permutations.
 - ``artin``: the braid action on a free group and the semidirect-product
   evaluation that derives unreduced matrices from first principles.
 - ``gassner``: the reduced / unreduced crossed-homomorphism matrices of
   braid words.
-- ``hermitian``: the invariant tridiagonal skew-hermitian form, determinant
-  identity, specializations, signatures.
+- ``hermitian``: the invariant tridiagonal skew-hermitian form, written once
+  as a table of numerators over factors 1 - X_i; determinant identity, the
+  specialized form read from the same table, signatures.
 - ``spectral``: root-of-unity specializations, degeneracy structure,
   pigeonhole blocks, unipotent commutators, span-closure irreducibility.
 - ``topology``: homology bookkeeping of cyclic covers of the line and

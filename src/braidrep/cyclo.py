@@ -13,7 +13,10 @@ tower of the units mod d (cached per order), in O(log phi(d)) twists and
 products.
 
 Specialization of Laurent polynomials (Xi -> omega_d^{k_i}) and numeric
-embeddings (w -> e^{2*pi*i*f/d}) live here too.
+embeddings (w -> e^{2*pi*i*f/d}) live here too.  Only Laurent polynomials
+are specialized: the one fraction-valued matrix, the form h, is specialized
+by ``hermitian.specialize_form`` from its numerators and the inverses of the
+values of its factors 1 - X_i.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import InvariantError, ValidationError
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly
 
 
 def cyclotomic_polynomial(d: int) -> tuple:
@@ -458,44 +461,29 @@ def check_embedding(d: int, f: int):
             f"coprime to d={d}")
 
 
-def specialize_poly(a, d: int, k: tuple) -> CycloNum:
-    """Ring homomorphism Xi -> omega_d^{k_i} into Q(omega_d).
-
-    Accepts a LaurentPoly or a RationalFunction; for the latter the
-    denominator must not vanish at the specialization.
-    """
+def specialize_poly(a: LaurentPoly, d: int, k: tuple) -> CycloNum:
+    """Ring homomorphism Xi -> omega_d^{k_i} from Laurent polynomials into
+    Q(omega_d)."""
     check_weights(d, k)
-    return _specialize_entry(a, d, k)
+    return _specialize_laurent(a, d, k)
 
 
 def specialize_matrix(mat: tuple, d: int, k: tuple) -> tuple:
     """``specialize_poly`` entry by entry, with the weights checked once: a
     matrix over Q(omega_d)."""
     check_weights(d, k)
-    return tuple(tuple(_specialize_entry(x, d, k) for x in row)
+    return tuple(tuple(_specialize_laurent(x, d, k) for x in row)
                  for row in mat)
 
 
-def _specialize_entry(a, d: int, k: tuple) -> CycloNum:
-    """``specialize_poly`` for weights already checked."""
-    if isinstance(a, RationalFunction):
-        den = _specialize_laurent(a.den, d, k)
-        if den.is_zero():
-            raise ValidationError(
-                f"denominator {a.den} vanishes at the specialization "
-                f"d={d}, k={tuple(k)}; the offending factor is {a.den}")
-        num = _specialize_laurent(a.num, d, k)
-        return num * den.inverse()
-    if isinstance(a, LaurentPoly):
-        return _specialize_laurent(a, d, k)
-    raise TypeError(f"cannot specialize {type(a).__name__}")
-
-
 def _specialize_laurent(a: LaurentPoly, d: int, k: tuple) -> CycloNum:
-    """a at X_i -> omega_d^{k_i}.  Zero and a monomial c X^e (most entries of
-    a pure generator are 0 or 1) are read from the table of powers: c
-    omega^(e.k mod d).  Otherwise the coefficients are summed by residue of
-    e.k mod d, and each residue class costs one row of the table."""
+    """a at X_i -> omega_d^{k_i}, for weights already checked.  Zero and a
+    monomial c X^e (most entries of a pure generator are 0 or 1) are read
+    from the table of powers: c omega^(e.k mod d).  Otherwise the
+    coefficients are summed by residue of e.k mod d, and each residue class
+    costs one row of the table."""
+    if not isinstance(a, LaurentPoly):
+        raise TypeError(f"cannot specialize {type(a).__name__}")
     if a.nvars != len(k):
         raise ValidationError(
             f"weight tuple length {len(k)} does not match {a.nvars} variables")
@@ -525,4 +513,4 @@ def _specialize_laurent(a: LaurentPoly, d: int, k: tuple) -> CycloNum:
             for i in range(deg):
                 if row[i]:
                     out[i] += c * row[i]
-    return CycloNum._raw(d, *_normalize(tuple(out), 1))
+    return CycloNum._raw(d, tuple(out), 1)

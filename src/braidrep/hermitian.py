@@ -14,10 +14,13 @@ t_i = omega_d^{k_i} degenerates exactly when d divides sum(k).
 
 These entries are written once, in ``_form_table``, as numerators over
 products of the factors f_i = 1 - X_i, each numerator prime to its factors.
-``form_matrix``, the cleared form D h and the determinant recursion are all
-read from that table, so no polynomial gcd runs.  The invariance check, the
-determinant recursion and the signatures use exact integer arithmetic, with
-no fractions and no floating point:
+``form_matrix``, the cleared form D h, the determinant recursion and the
+specialized form are all read from that table, so no polynomial gcd runs.
+Only the symbolic outputs, ``form_matrix`` and ``form_determinant``, are
+fractions; the specialized form multiplies each specialized numerator by the
+inverses of its specialized factors, so no fraction is specialized.  The
+invariance check, the determinant recursion and the signatures use exact
+integer arithmetic, with no fractions and no floating point:
 
 - invariance is checked with denominators cleared: D = prod (1 - X_i) is a
   scalar fixed by pure words, and with M' the image of the inverse word,
@@ -35,7 +38,8 @@ from math import prod
 
 from . import linalg
 from .braid import BraidWord
-from .cyclo import check_embedding, check_spec_weights, specialize_matrix, units
+from .cyclo import (CycloNum, check_embedding, check_spec_weights,
+                    specialize_matrix, units)
 from .errors import InvariantError, ValidationError
 from .gassner import evaluate_word
 from .laurent import LaurentPoly, RationalFunction, _div_exact
@@ -95,7 +99,7 @@ def _cleared_form(strands: int) -> tuple:
 
 
 def conjugate_transpose(matrix: tuple) -> tuple:
-    """involute(transpose(M)) for matrices over LaurentPoly or RationalFunction."""
+    """involute(transpose(M)) for a matrix over LaurentPoly."""
     return tuple(tuple(x.involute() for x in col) for col in zip(*matrix))
 
 
@@ -176,14 +180,24 @@ def form_determinant(strands: int) -> RationalFunction:
 
 
 def specialize_form(d: int, k: tuple) -> tuple:
-    """The form with X_i -> omega_d^{k_i}; entries are exact cyclotomics.
+    """The form with X_i -> t_i = omega_d^{k_i}, read from ``_form_table``:
+    with c_j = (1 - t_j)^-1, entry [a][b] is num(t) * prod_{j in den} c_j,
+    so one inverse is taken per distinct weight and no fraction is built.
 
-    Denominators never vanish because every t_i is a nontrivial root of
-    unity (1 <= k_i <= d-1 coprime to d).
+    No c_j divides by zero because every t_j is a nontrivial root of unity
+    (1 <= k_j <= d-1 coprime to d).
     """
     k = tuple(k)
     check_spec_weights(d, k)
-    return specialize_matrix(form_matrix(len(k)), d, k)
+    one = CycloNum.one(d)
+    c = {kj: (one - CycloNum.omega_power(d, kj)).inverse() for kj in set(k)}
+    table = _form_table(len(k))
+    (values,) = specialize_matrix((tuple(num for _, _, num, _ in table),), d, k)
+    n = len(k) - 1
+    rows = [[CycloNum.zero(d)] * n for _ in range(n)]
+    for (a, b, _, den), value in zip(table, values):
+        rows[a][b] = prod((c[k[j]] for j in den), start=value)
+    return tuple(tuple(r) for r in rows)
 
 
 def is_degenerate(d: int, k: tuple) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import gcd as _int_gcd
 
@@ -272,43 +273,19 @@ NONARITHMETIC_KNOWN_WITNESS = "NONARITHMETIC_KNOWN_WITNESS"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _load_witnesses() -> dict:
+@cache
+def witness_table() -> dict:
     with resources.files("braidrep").joinpath("witnesses.json").open() as fh:
         return json.load(fh)
 
 
-_witness_table: dict | None = None
-
-
-def witness_table() -> dict:
-    global _witness_table
-    if _witness_table is None:
-        _witness_table = _load_witnesses()
-    return _witness_table
-
-
 def match_witness(d: int, k) -> dict | None:
-    """Look (d, k) up in the curated witness table.
-
-    This lookup is deliberately relaxed (no coprimality requirement) so the
-    lifted families with non-coprime weights can be matched too; the strict
-    cover-spec validation happens elsewhere.
-    """
-    k = tuple(k)
+    """Look (d, k) up in the curated witness table: an entry of order d
+    whose weights equal k up to order."""
+    k = sorted(k)
     for entry in witness_table()["witnesses"]:
-        if entry["d"] != d:
-            continue
-        if "k" in entry:
-            if sorted(k) == sorted(entry["k"]):
-                return entry
-        elif "pattern" in entry:
-            pat = entry["pattern"]
-            rep_w = pat["repeated_weight"]
-            tail = sorted(pat["tail"])
-            rest = sorted(x for x in k if x != rep_w)
-            repeats = sum(1 for x in k if x == rep_w)
-            if repeats >= pat["min_repeats"] and rest == tail:
-                return entry
+        if entry["d"] == d and sorted(entry["k"]) == k:
+            return entry
     return None
 
 

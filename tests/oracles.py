@@ -203,6 +203,14 @@ def burau_specialize(m) -> tuple:
 
 # -- specializations ------------------------------------------------------------
 
+def specialize_fraction(x: RationalFunction, d: int, k: tuple):
+    """x at Xi -> omega_d^{k_i}: numerator and denominator specialized
+    separately, then divided; the denominator must not vanish there."""
+    den = specialize_poly(x.den, d, k)
+    assert not den.is_zero(), f"denominator {x.den} vanishes at d={d}, k={k}"
+    return specialize_poly(x.num, d, k) / den
+
+
 def all_unit_subintervals(d: int, k: tuple, lo: int, hi: int) -> list:
     """Brute force: every consecutive [a, b] inside [lo, hi] with
     t_a ... t_b = 1."""

@@ -301,7 +301,8 @@ class TestExitCodes:
 
 class TestNoGcdOnCliPaths:
     """No command reaches the multivariate gcd: words and the form are
-    built fraction-free."""
+    built fraction-free, and only ``form``, whose output is the symbolic
+    form, builds a RationalFunction."""
 
     CALLS = {
         "matrix": ["--n", "3", "--word", "s1^-1 A 1 3 s2", "--basis", "unreduced"],
@@ -316,19 +317,50 @@ class TestNoGcdOnCliPaths:
         "sweep": ["--d", "3", "--n", "2"],
     }
 
+    @staticmethod
+    def _start_cold():
+        """Empty every cache, so no cached value hides a call."""
+        hermitian._cleared_form.cache_clear()
+        hermitian.form_determinant.cache_clear()
+        gassner._generator_cache.clear()
+        spectral._symbolic_pure.clear()
+
     def test_every_command_without_poly_gcd(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("laurent.poly_gcd called")
 
         monkeypatch.setattr(laurent, "poly_gcd", refuse)
-        # start cold, so no cache hides a call
-        hermitian._cleared_form.cache_clear()
-        gassner._generator_cache.clear()
-        spectral._symbolic_pure.clear()
+        self._start_cold()
         assert set(self.CALLS) == set(COMMANDS)
         for command, flags in self.CALLS.items():
             code, text = run_cli([command] + flags)
             assert code == 0, (command, text)
+
+    def test_only_form_builds_rational_functions(self, monkeypatch):
+        rf = laurent.RationalFunction
+        real_init, real_raw = rf.__init__, rf._raw.__func__
+        built = []
+
+        def guard():
+            built.append(command)
+            if command != "form":
+                raise AssertionError(f"{command} built a RationalFunction")
+
+        def init(self, *args):
+            guard()
+            real_init(self, *args)
+
+        def raw(cls, *args):
+            guard()
+            return real_raw(cls, *args)
+
+        monkeypatch.setattr(rf, "__init__", init)
+        monkeypatch.setattr(rf, "_raw", classmethod(raw))
+        for command, flags in self.CALLS.items():
+            self._start_cold()
+            code, text = run_cli([command] + flags)
+            assert code == 0, (command, text)
+        assert set(built) == {"form"}
 
 
 class TestBudgets:

@@ -222,26 +222,25 @@ class TestSpecialization:
         assert specialize_poly(p, 3, (1, 1)).is_zero()
 
     def test_fraction_value(self):
-        # 1/(1-X1) at omega_3 equals (2+w)/3
-        x1 = RationalFunction.variable(2, 1)
-        r = 1 / (1 - x1)
-        v = specialize_poly(r, 3, (1, 1))
-        assert v == CycloNum(3, (2, 1), 3)
-        z = v.embed(1)
-        ref = 1 / (1 - cmath.exp(2j * cmath.pi / 3))
-        assert abs(z - ref) < 1e-12
+        # the form on 2 strands at omega_3: (1 - w^2)/(1 - w)^2 = (1 + 2w)/3
+        from braidrep.hermitian import specialize_form
 
-    def test_vanishing_denominator_reported(self):
-        x1 = RationalFunction.variable(2, 1)
-        r = 1 / (1 + x1 + x1 * x1)
-        with pytest.raises(ValidationError) as ei:
+        ((v,),) = specialize_form(3, (1, 1))
+        assert v == CycloNum(3, (1, 2), 3)
+        w = cmath.exp(2j * cmath.pi / 3)
+        assert abs(v.embed(1) - (1 - w * w) / (1 - w) ** 2) < 1e-12
+
+    def test_fraction_refused(self):
+        r = 1 / (1 - RationalFunction.variable(2, 1))
+        with pytest.raises(TypeError, match="RationalFunction"):
             specialize_poly(r, 3, (1, 1))
-        assert "vanishes" in str(ei.value)
+        with pytest.raises(TypeError, match="RationalFunction"):
+            specialize_matrix(((r,),), 3, (1, 1))
 
     def test_matrix_entry_by_entry(self):
         x1 = LaurentPoly.variable(2, 1)
-        x2 = RationalFunction.variable(2, 2)
-        mat = ((x1, 1 - x1), (1 / (1 - x2), x1 * x1))
+        x2 = LaurentPoly.variable(2, 2)
+        mat = ((x1, 1 - x1), (LaurentPoly.monomial(2, (1, -1), 3) - x2, x1 * x1))
         out = specialize_matrix(mat, 3, (1, 2))
         assert out == tuple(tuple(specialize_poly(x, 3, (1, 2)) for x in row)
                             for row in mat)
@@ -251,8 +250,8 @@ class TestSpecialization:
         from braidrep import cyclo
 
         x1 = LaurentPoly.variable(2, 1)
-        x2 = RationalFunction.variable(2, 2)
-        mat = ((x1, 1 - x1, x1), (1 / (1 - x2), x1 * x1, x2))
+        x2 = LaurentPoly.variable(2, 2)
+        mat = ((x1, 1 - x1, x1), (1 - x2 * x2, x1 * x1, x2))
         calls = []
         real = cyclo.check_weights
         monkeypatch.setattr(cyclo, "check_weights",
@@ -261,10 +260,9 @@ class TestSpecialization:
         assert calls == [(1, 2)]
 
     def test_matrix_errors_match_entry_errors(self):
+        # a weight not coprime to d, and a weight tuple of the wrong length
         x1 = LaurentPoly.variable(2, 1)
-        r1 = RationalFunction.variable(2, 1)
-        bad_den = ((x1, 1 / (1 + r1 + r1 * r1)),)
-        for mat, d, k in [(((x1,),), 4, (2, 1)), (bad_den, 3, (1, 1))]:
+        for mat, d, k in [(((x1,),), 4, (2, 1)), (((x1, x1),), 3, (1, 1, 1))]:
             with pytest.raises(ValidationError) as entry:
                 specialize_poly(mat[0][-1], d, k)
             with pytest.raises(ValidationError) as whole:

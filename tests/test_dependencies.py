@@ -1,4 +1,5 @@
-"""The `test` extra in pyproject.toml names every package the tests import."""
+"""Import guards: the `test` extra in pyproject.toml names every package
+the tests import, and fractions stay in the modules of the symbolic form."""
 
 import ast
 import re
@@ -43,3 +44,25 @@ def test_every_third_party_import_is_in_the_test_extra():
             for name in _top_level_imports(path) - local - declared:
                 missing.setdefault(name, []).append(path.name)
     assert not missing, f"imported by the tests, not in the test extra: {missing}"
+
+
+def _names(path: Path) -> set:
+    """Every identifier a file uses: names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_rational_function_stays_in_the_form():
+    # laurent defines it, hermitian builds the symbolic form and its
+    # determinant, and __init__ exports it; every other module, the
+    # specializer included, works with Laurent and cyclotomic values only
+    users = {path.name for path in sorted((ROOT / "src" / "braidrep").glob("*.py"))
+             if "RationalFunction" in _names(path)}
+    assert users == {"laurent.py", "hermitian.py", "__init__.py"}

@@ -12,7 +12,7 @@ import pytest
 import braidrep
 from braidrep import hermitian, linalg
 from braidrep.braid import BraidWord, full_twist, pure_generator
-from braidrep.cyclo import CycloNum, specialize_poly
+from braidrep.cyclo import MAX_D, CycloNum, specialize_poly, units
 from braidrep.errors import InvariantError, ValidationError
 from braidrep.hermitian import (
     conjugate_transpose,
@@ -26,7 +26,7 @@ from braidrep.hermitian import (
 )
 from braidrep.cli import MAX_N
 from braidrep.laurent import LaurentPoly, RationalFunction
-from oracles import form_matrix_by_division, random_pure_word
+from oracles import form_matrix_by_division, random_pure_word, specialize_fraction
 
 
 def RF(m, i):
@@ -207,7 +207,25 @@ class TestSpecializedForm:
             if sum(k) % d == 0:
                 assert det.is_zero()
             else:
-                assert det == specialize_poly(sym, d, k)
+                assert det == specialize_fraction(sym, d, k)
+
+    def test_matches_specialized_division_reference(self):
+        # entry by entry against h built by RationalFunction division, its
+        # numerator and denominator specialized separately: every unit tuple
+        # on 2-4 strands, then seeded specs on 5-9 strands up to d = MAX_D
+        specs = [(d, k) for d in (3, 4, 5, 7, 8, 12) for strands in (2, 3, 4)
+                 for k in itertools.product(units(d), repeat=strands)]
+        rng = random.Random(18)
+        specs += [(d, tuple(rng.choice(units(d)) for _ in range(strands)))
+                  for strands in range(5, 10) for d in (9, 10, 16, MAX_D)]
+        refs = {strands: form_matrix_by_division(strands)
+                for strands in range(2, 10)}
+        for d, k in specs:
+            ref = refs[len(k)]
+            h = specialize_form(d, k)
+            for a, row in enumerate(ref):
+                for b, x in enumerate(row):
+                    assert h[a][b] == specialize_fraction(x, d, k), (d, k, a, b)
 
     def test_unitarity_of_specialized_generators(self):
         # M^H h(t) M = h(t) for every pure generator after specialization

@@ -177,20 +177,18 @@ class TestClassify:
         assert len(res.evidence["dm_reports"]["5"]) == 4
 
     def test_verdicts_disjoint_on_table(self):
-        # every concrete witness entry lies strictly below the n >= 2d regime
+        # every witness entry is a valid cover spec strictly below the
+        # n >= 2d regime
         from braidrep.topology import witness_table
 
         for entry in witness_table()["witnesses"]:
-            if "k" in entry:
-                n = len(entry["k"]) - 1
-                assert n < 2 * entry["d"]
+            assert "k" in entry, entry["id"]
+            spec = CoverSpec.from_dk(entry["d"], entry["k"])
+            assert spec.n < 2 * spec.d
 
-    def test_lifted_pattern_matches_relaxed_lookup(self):
-        # the order-36 lift: weights 18 repeated plus four 1s; such k are not
-        # coprime to 36, so they never validate as CoverSpec, but the relaxed
-        # lookup recognizes them
-        assert match_witness(36, (18, 18, 1, 1, 1, 1)) is not None
-        assert match_witness(36, (18, 1, 1, 1, 1)) is not None
+    def test_lookup_matches_order_and_weights(self):
+        # a hit needs the entry's order d; the order-36 lift of the order-18
+        # witness would need weights 18, so it is no valid spec
         assert match_witness(36, (1, 1, 1, 1)) is None
         assert match_witness(18, (1, 1, 1, 1)) is not None
         with pytest.raises(ValidationError):
