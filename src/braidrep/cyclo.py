@@ -6,6 +6,12 @@ single positive integer denominator (kept coprime to the coefficient
 content).  Products of specialization values are the hot path, so the common
 denominator-1 case avoids all gcd work.
 
+Arithmetic is closed: ``+``, ``-`` and ``*`` take only a ``CycloNum`` of the
+same order (another order raises ``ValueError``).  Any other operand, an
+``int`` or ``Fraction`` included, raises ``TypeError`` and compares unequal;
+a constant is written as ``CycloNum.one(d)`` or ``CycloNum(d, num, den)``,
+and a quotient as ``a * b.inverse()``.
+
 The inverse is the Galois norm formula a^-1 = prod_{f != 1} sigma_f(a) /
 N(a): integer Galois twists and products only, no polynomial Euclid.  The
 cofactor prod_{f != 1} sigma_f(a) is built by doubling along a generator
@@ -171,16 +177,6 @@ class CycloNum:
         return cls._raw(d, (1,) + (0,) * (deg - 1), 1)
 
     @classmethod
-    def from_int(cls, d: int, c: int) -> CycloNum:
-        deg = _context(d).deg
-        return cls._raw(d, (c,) + (0,) * (deg - 1), 1)
-
-    @classmethod
-    def from_fraction(cls, d: int, q: Fraction) -> CycloNum:
-        deg = _context(d).deg
-        return cls._raw(d, (q.numerator,) + (0,) * (deg - 1), q.denominator)
-
-    @classmethod
     def omega_power(cls, d: int, m: int) -> CycloNum:
         """omega_d^m, reduced modulo Phi_d."""
         ctx = _context(d)
@@ -196,13 +192,11 @@ class CycloNum:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: CycloNum):
+    def __add__(self, other):
+        if not isinstance(other, CycloNum):
+            return NotImplemented
         if self.d != other.d:
             raise ValueError(f"cyclotomic order mismatch: {self.d} vs {other.d}")
-
-    def __add__(self, other):
-        other = _coerce(other, self.d)
-        self._check(other)
         if self.den == other.den:
             num = tuple(a + b for a, b in zip(self.num, other.num))
             if self.den == 1:
@@ -218,35 +212,31 @@ class CycloNum:
         return CycloNum._raw(self.d, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.d))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other):
-        other = _coerce(other, self.d)
-        self._check(other)
+        if not isinstance(other, CycloNum):
+            return NotImplemented
+        if self.d != other.d:
+            raise ValueError(f"cyclotomic order mismatch: {self.d} vs {other.d}")
         a, b = self.num, other.num
         deg = len(a)
-        if deg == 1:
-            num = (a[0] * b[0],)
-        else:
-            conv = [0] * (2 * deg - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            conv[i + j] += ai * bj
-            rows = _context(self.d).reduce_rows
-            num = conv[:deg]
-            for j in range(2 * deg - 2, deg - 1, -1):
-                c = conv[j]
-                if c:
-                    row = rows[j - deg]
-                    for i in range(deg):
-                        if row[i]:
-                            num[i] += c * row[i]
-            num = tuple(num)
+        conv = [0] * (2 * deg - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        rows = _context(self.d).reduce_rows
+        num = conv[:deg]
+        for j in range(2 * deg - 2, deg - 1, -1):
+            c = conv[j]
+            if c:
+                row = rows[j - deg]
+                for i in range(deg):
+                    if row[i]:
+                        num[i] += c * row[i]
+        num = tuple(num)
         den = self.den * other.den
         if den == 1:
             return CycloNum._raw(self.d, num, 1)
@@ -298,13 +288,6 @@ class CycloNum:
         return CycloNum._raw(d, *_normalize(
             tuple(c * self.den for c in cofactor.num), norm[0]))
 
-    def __truediv__(self, other):
-        other = _coerce(other, self.d)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other, self.d) * self.inverse()
-
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
@@ -318,8 +301,6 @@ class CycloNum:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other, self.d)
         return (isinstance(other, CycloNum) and self.d == other.d
                 and self.num == other.num and self.den == other.den)
 
@@ -345,11 +326,7 @@ class CycloNum:
 
     def conjugate(self) -> CycloNum:
         """Complex conjugation omega -> omega^-1."""
-        if self.d == 1:
-            return self
         return self.galois(self.d - 1)
-
-    involute = conjugate
 
     def embed(self, f: int = 1) -> complex:
         """Numeric value at omega -> e^(2*pi*i*f/d); requires gcd(f, d) = 1."""
@@ -405,16 +382,6 @@ def _normalize(num: tuple, den: int):
         num = tuple(a // g for a in num)
         den //= g
     return num, den
-
-
-def _coerce(x, d: int) -> CycloNum:
-    if isinstance(x, CycloNum):
-        return x
-    if isinstance(x, int):
-        return CycloNum.from_int(d, x)
-    if isinstance(x, Fraction):
-        return CycloNum.from_fraction(d, x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to CycloNum")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 A Laurent polynomial in ``nvars`` variables X1..Xm is stored as a map from
 exponent vectors (int tuples of length ``nvars``, entries may be negative) to
 nonzero integer coefficients.  Two equal polynomials always have identical
-term maps, so ``==`` and ``hash`` are structural.
+term maps, so ``==`` and ``hash`` are structural.  Arithmetic is closed:
+``+``, ``-`` and ``*`` take only a ``LaurentPoly`` with the same variable
+count (another count raises ``ValueError``).  An ``int`` operand raises
+``TypeError`` and compares unequal; a constant is written as
+``LaurentPoly.constant(nvars, c)`` or ``LaurentPoly.one(nvars)``.
 
 ``RationalFunction`` is a reduced fraction num/den of Laurent polynomials.
 The canonical form pins the unit ambiguity of the Laurent ring: the
@@ -93,8 +97,8 @@ class LaurentPoly:
                 f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.nvars, other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         if not self.terms:
             return other
@@ -111,28 +115,17 @@ class LaurentPoly:
         p.terms = terms
         return p
 
-    __radd__ = __add__
-
     def __neg__(self):
         p = LaurentPoly(self.nvars)
         p.terms = {e: -c for e, c in self.terms.items()}
         return p
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.nvars, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly(self.nvars)
-            p = LaurentPoly(self.nvars)
-            p.terms = {e: c * other for e, c in self.terms.items()}
-            return p
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         a, b = self.terms, other.terms
         if not a or not b:
@@ -174,8 +167,6 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == LaurentPoly.constant(self.nvars, other)
         return (isinstance(other, LaurentPoly)
                 and self.nvars == other.nvars
                 and self.terms == other.terms)

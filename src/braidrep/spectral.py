@@ -204,7 +204,8 @@ def _row_support(m: tuple, idx: int, reproducer: dict) -> tuple:
                     f"(entry [{a}][{b}] = {x})",
                     reproducer=reproducer)
     row = m[idx]
-    return row[:idx] + (row[idx] - 1,) + row[idx + 1:]
+    one = CycloNum.one(row[idx].d)
+    return row[:idx] + (row[idx] - one,) + row[idx + 1:]
 
 
 def _commutator(rep: SpecializedRep, p: int) -> tuple:

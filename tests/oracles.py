@@ -208,7 +208,7 @@ def specialize_fraction(x: RationalFunction, d: int, k: tuple):
     separately, then divided; the denominator must not vanish there."""
     den = specialize_poly(x.den, d, k)
     assert not den.is_zero(), f"denominator {x.den} vanishes at d={d}, k={k}"
-    return specialize_poly(x.num, d, k) / den
+    return specialize_poly(x.num, d, k) * den.inverse()
 
 
 def all_unit_subintervals(d: int, k: tuple, lo: int, hi: int) -> list:

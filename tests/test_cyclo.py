@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import operator
 import random
 from math import gcd
 from fractions import Fraction
@@ -21,6 +22,12 @@ from braidrep.cyclo import (
 from braidrep.errors import ValidationError
 from braidrep.laurent import LaurentPoly, RationalFunction
 from braidrep.spectral import _symbolic_matrix
+
+
+def rational(d: int, q: Fraction) -> CycloNum:
+    """The rational number q as an element of Q(omega_d)."""
+    deg = len(cyclotomic_polynomial(d)) - 1
+    return CycloNum(d, (q.numerator,) + (0,) * (deg - 1), q.denominator)
 
 
 class TestCyclotomicPolynomials:
@@ -56,7 +63,7 @@ class TestCycloArithmetic:
     def test_omega_cubed_is_one(self):
         w = CycloNum.omega_power(3, 1)
         assert w ** 3 == CycloNum.one(3)
-        assert 1 + w + w * w == CycloNum.zero(3)
+        assert CycloNum.one(3) + w + w * w == CycloNum.zero(3)
 
     def test_inverse(self):
         rng = random.Random(0)
@@ -73,8 +80,8 @@ class TestCycloArithmetic:
                 assert a * a.inverse() == CycloNum.one(d)
             for q in (Fraction(1), Fraction(-1), Fraction(7, 2),
                       Fraction(-3, 4)):
-                a = CycloNum.from_fraction(d, q)
-                assert a.inverse() == CycloNum.from_fraction(d, 1 / q)
+                a = rational(d, q)
+                assert a.inverse() == rational(d, 1 / q)
                 assert a * a.inverse() == CycloNum.one(d)
 
     def test_inverse_matches_plain_norm_product(self):
@@ -98,8 +105,7 @@ class TestCycloArithmetic:
                         cofactor = cofactor * whole.galois(f)
                 norm = whole * cofactor
                 assert not any(norm.num[1:]), d
-                plain = cofactor * CycloNum.from_fraction(
-                    d, Fraction(a.den, norm.num[0]))
+                plain = cofactor * rational(d, Fraction(a.den, norm.num[0]))
                 assert a.inverse() == plain, (d, a)
 
     def test_units_are_the_coprime_residues(self):
@@ -149,14 +155,14 @@ class TestCycloArithmetic:
                 assert a.conjugate().conjugate() == a
 
     def test_conjugate_matches_numeric(self):
-        a = CycloNum.omega_power(18, 5) + CycloNum.from_int(18, 2)
+        a = CycloNum.omega_power(18, 5) + rational(18, Fraction(2))
         za = a.embed(1)
         zc = a.conjugate().embed(1)
         assert abs(za.conjugate() - zc) < 1e-12
 
     def test_rational_inverse_fast_path(self):
-        a = CycloNum.from_fraction(12, Fraction(-3, 4))
-        assert a.inverse() == CycloNum.from_fraction(12, Fraction(-4, 3))
+        a = rational(12, Fraction(-3, 4))
+        assert a.inverse() == rational(12, Fraction(-4, 3))
 
     def test_ring_axioms_spot_checked(self):
         rng = random.Random(5)
@@ -171,6 +177,39 @@ class TestCycloArithmetic:
                 assert a * (b + c) == a * b + a * c
                 assert a + b == b + a
                 assert a * b == b * a
+
+
+class TestOperandRule:
+    """+, - and * take only a CycloNum of the same order; / is not defined."""
+
+    @pytest.mark.parametrize("other", [2, Fraction(1, 2)])
+    def test_foreign_operand_raises_type_error(self, other):
+        w = CycloNum.omega_power(5, 1)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            with pytest.raises(TypeError):
+                op(w, other)
+            with pytest.raises(TypeError):
+                op(other, w)
+
+    def test_no_division(self):
+        w = CycloNum.omega_power(5, 1)
+        with pytest.raises(TypeError):
+            w / w
+
+    def test_foreign_operand_compares_unequal(self):
+        assert (CycloNum.one(5) == 1) is False
+        assert (CycloNum.one(5) != 1) is True
+        assert (CycloNum.zero(5) == 0) is False
+        assert (CycloNum.one(5) == Fraction(1)) is False
+        assert (1 == CycloNum.one(5)) is False
+
+    def test_order_mismatch_raises_value_error(self):
+        a, b = CycloNum.one(5), CycloNum.one(3)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError,
+                               match="cyclotomic order mismatch: 5 vs 3"):
+                op(a, b)
 
 
 class TestEmbedding:
@@ -218,7 +257,7 @@ class TestSpecialization:
 
     def test_phi3_vanishes(self):
         x1 = LaurentPoly.variable(2, 1)
-        p = 1 + x1 + x1 * x1
+        p = LaurentPoly.one(2) + x1 + x1 * x1
         assert specialize_poly(p, 3, (1, 1)).is_zero()
 
     def test_fraction_value(self):
@@ -240,7 +279,9 @@ class TestSpecialization:
     def test_matrix_entry_by_entry(self):
         x1 = LaurentPoly.variable(2, 1)
         x2 = LaurentPoly.variable(2, 2)
-        mat = ((x1, 1 - x1), (LaurentPoly.monomial(2, (1, -1), 3) - x2, x1 * x1))
+        one = LaurentPoly.one(2)
+        mat = ((x1, one - x1),
+               (LaurentPoly.monomial(2, (1, -1), 3) - x2, x1 * x1))
         out = specialize_matrix(mat, 3, (1, 2))
         assert out == tuple(tuple(specialize_poly(x, 3, (1, 2)) for x in row)
                             for row in mat)
@@ -251,7 +292,8 @@ class TestSpecialization:
 
         x1 = LaurentPoly.variable(2, 1)
         x2 = LaurentPoly.variable(2, 2)
-        mat = ((x1, 1 - x1, x1), (1 - x2 * x2, x1 * x1, x2))
+        one = LaurentPoly.one(2)
+        mat = ((x1, one - x1, x1), (one - x2 * x2, x1 * x1, x2))
         calls = []
         real = cyclo.check_weights
         monkeypatch.setattr(cyclo, "check_weights",

@@ -181,15 +181,15 @@ class TestReducedGenerator:
     def test_right_neighbor_column(self):
         # i=2: image of eps_3 is eps_2 + eps_3
         g = evaluate_word(BraidWord(4, (2,)), "reduced")
-        assert g.matrix[1][2] == 1
-        assert g.matrix[2][2] == 1
+        assert g.matrix[1][2] == LaurentPoly.one(4)
+        assert g.matrix[2][2] == LaurentPoly.one(4)
         assert g.matrix[0][2].is_zero()
 
     def test_distant_column_fixed(self):
         # i=1: eps_3 fixed
         g = evaluate_word(BraidWord(4, (1,)), "reduced")
         col = [g.matrix[j][2] for j in range(3)]
-        assert col[0].is_zero() and col[1].is_zero() and col[2] == 1
+        assert col[0].is_zero() and col[1].is_zero() and col[2] == LaurentPoly.one(4)
 
     def test_s1_squared_block(self):
         # s_1^2 on 3 strands: eps_1 -> X1 X2 eps_1, eps_2 -> (1-X1) eps_1 + eps_2
@@ -197,8 +197,9 @@ class TestReducedGenerator:
         assert m.is_linear()
         x1, x2 = X(3, 1), X(3, 2)
         assert m.matrix[0][0] == x1 * x2
-        assert m.matrix[0][1] == 1 - x1
-        assert m.matrix[1][1] == 1
+        one = LaurentPoly.one(3)
+        assert m.matrix[0][1] == one - x1
+        assert m.matrix[1][1] == one
         assert m.matrix[1][0].is_zero()
 
     def test_si_squared_three_columns(self):
@@ -206,10 +207,11 @@ class TestReducedGenerator:
         strands, i = 5, 3
         m = evaluate_word(BraidWord(strands, (i, i)), "reduced")
         xi, xi1 = X(strands, i), X(strands, i + 1)
+        one = LaurentPoly.one(strands)
         idx = i - 1
-        assert m.matrix[idx][idx - 1] == xi * (1 - xi1)
+        assert m.matrix[idx][idx - 1] == xi * (one - xi1)
         assert m.matrix[idx][idx] == xi * xi1
-        assert m.matrix[idx][idx + 1] == 1 - xi
+        assert m.matrix[idx][idx + 1] == one - xi
         for j in range(strands - 1):
             expected_diag = xi * xi1 if j == idx else LaurentPoly.one(strands)
             assert m.matrix[j][j] == expected_diag
@@ -386,7 +388,7 @@ class TestCentralScalars:
                 elif eps_index < a - 1 or eps_index > b:
                     for row in range(n):
                         if row == col:
-                            assert m.matrix[row][col] == 1
+                            assert m.matrix[row][col] == LaurentPoly.one(strands)
                         else:
                             assert m.matrix[row][col].is_zero()
 
@@ -397,9 +399,10 @@ class TestBurau:
         b = burau_specialize(m)
         q = LaurentPoly.variable(1, 1)
         assert b[0][0] == q * q
-        assert b[0][1] == 1 - q
+        one = LaurentPoly.one(1)
+        assert b[0][1] == one - q
         assert b[1][0].is_zero()
-        assert b[1][1] == 1
+        assert b[1][1] == one
 
     def test_braid_relation_survives(self):
         u = burau_specialize(evaluate_word(BraidWord(3, (1,)), "reduced"))

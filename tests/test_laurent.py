@@ -1,5 +1,6 @@
 """Laurent polynomial and rational function arithmetic."""
 
+import operator
 import random
 
 import pytest
@@ -28,15 +29,16 @@ class TestLaurentBasics:
         assert a * b == one(2)
 
     def test_difference_of_squares(self):
-        x = X(1, 1)
-        assert (1 - x) * (1 + x) == 1 - x * x
+        x, o = X(1, 1), one(1)
+        assert (o - x) * (o + x) == o - x * x
 
     def test_determinant_numerator_identity(self):
         # (1-X1X2)(1-X2X3) - X2(1-X1)(1-X3) == (1-X2)(1-X1X2X3),
         # verified by expanding both sides term by term.
         x1, x2, x3 = (X(3, i) for i in (1, 2, 3))
-        lhs = (1 - x1 * x2) * (1 - x2 * x3) - x2 * (1 - x1) * (1 - x3)
-        rhs = (1 - x2) * (1 - x1 * x2 * x3)
+        o = one(3)
+        lhs = (o - x1 * x2) * (o - x2 * x3) - x2 * (o - x1) * (o - x3)
+        rhs = (o - x2) * (o - x1 * x2 * x3)
         assert lhs == rhs
         # term-by-term oracle: expand with an independent dict accumulation
         expected = {}
@@ -58,7 +60,7 @@ class TestLaurentBasics:
         x1, x2 = X(2, 1), X(2, 2)
         assert str(one(2) - x2) == "1 - X2"
         assert str(one(2) - x1 * x2) == "1 - X1*X2"
-        assert str(x1 * x1 - 2 * x2) == "-2*X2 + X1^2"
+        assert str(x1 * x1 - LaurentPoly.constant(2, 2) * x2) == "-2*X2 + X1^2"
         assert str(LaurentPoly.variable(2, 1, -1)) == "X1^-1"
         assert str(LaurentPoly.zero(2)) == "0"
 
@@ -70,6 +72,30 @@ def random_poly(rng, nvars, max_terms=3, max_exp=2, max_coeff=4):
         c = rng.randint(-max_coeff, max_coeff)
         p = p + LaurentPoly.monomial(nvars, e, c)
     return p
+
+
+class TestOperandRule:
+    """+, - and * take only a LaurentPoly with the same variable count."""
+
+    def test_int_operand_raises_type_error(self):
+        x = X(2, 1)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, 1)
+            with pytest.raises(TypeError):
+                op(1, x)
+
+    def test_int_operand_compares_unequal(self):
+        assert (one(2) == 1) is False
+        assert (one(2) != 1) is True
+        assert (LaurentPoly.zero(2) == 0) is False
+        assert (1 == one(2)) is False
+
+    def test_nvars_mismatch_raises_value_error(self):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError,
+                               match="variable-count mismatch: 2 vs 3"):
+                op(X(2, 1), X(3, 1))
 
 
 class TestRingAxioms:
@@ -99,7 +125,7 @@ class TestRingAxioms:
     def test_involute_examples(self):
         assert X(2, 1).involute() == LaurentPoly.variable(2, 1, -1)
         x2 = X(2, 2)
-        assert (1 - x2).involute() == 1 - LaurentPoly.variable(2, 2, -1)
+        assert (one(2) - x2).involute() == one(2) - LaurentPoly.variable(2, 2, -1)
 
     def test_involution_fixed_membership(self):
         x1 = X(1, 1)
@@ -113,23 +139,24 @@ class TestGcd:
     def test_gcd_simple(self):
         # gcd is pinned to positive leading coefficient, so 1-X1 comes out X1-1
         x1, x2 = X(2, 1), X(2, 2)
-        a = (1 - x1) * (1 - x2)
-        b = (1 - x1) * (1 + x2)
+        o = one(2)
+        a = (o - x1) * (o - x2)
+        b = (o - x1) * (o + x2)
         g = poly_gcd(a, b)
-        assert g == x1 - 1
+        assert g == x1 - o
 
     def test_gcd_with_units(self):
-        x1 = X(1, 1)
-        a = LaurentPoly.variable(1, 1, -3) * (1 - x1)
-        b = (1 - x1) * (1 - x1)
+        x1, o = X(1, 1), one(1)
+        a = LaurentPoly.variable(1, 1, -3) * (o - x1)
+        b = (o - x1) * (o - x1)
         g = poly_gcd(a, b)
-        assert g == x1 - 1
+        assert g == x1 - o
 
     def test_gcd_sign_normalized(self):
-        x1 = X(1, 1)
-        g = poly_gcd(-(1 - x1), (x1 - 1) * (1 + x1))
+        x1, o = X(1, 1), one(1)
+        g = poly_gcd(-(o - x1), (x1 - o) * (o + x1))
         assert g.leading()[1] > 0
-        assert g in ((x1 - 1), (1 - x1) * -1)
+        assert g in ((x1 - o), (o - x1) * LaurentPoly.constant(1, -1))
 
     def test_gcd_randomized(self):
         rng = random.Random(2)

@@ -52,6 +52,14 @@ def _random_matrix(rng, rows, cols, entry):
     return tuple(tuple(entry(rng) for _ in range(cols)) for _ in range(rows))
 
 
+def _scalar(c, one):
+    """The integer c in the ring whose unit is ``one``."""
+    out = one - one
+    for _ in range(abs(c)):
+        out = out + one
+    return out if c >= 0 else -out
+
+
 def _make_singular(rng, a):
     """Replace one row by a combination of two others (or by zero when the
     matrix has a single row)."""
@@ -62,7 +70,9 @@ def _make_singular(rng, a):
         rows[0] = [x - x for x in rows[0]]
     else:
         i, j = rng.sample([r for r in range(n) if r != target] * 2, 2)
-        c1, c2 = rng.randint(-2, 2), rng.randint(1, 2)
+        one = a[0][0] ** 0
+        c1 = _scalar(rng.randint(-2, 2), one)
+        c2 = _scalar(rng.randint(1, 2), one)
         rows[target] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
     return tuple(tuple(r) for r in rows)
 
@@ -70,8 +80,8 @@ def _make_singular(rng, a):
 def _anti_diagonal(n, d):
     """Nonzero on the anti-diagonal only: the pivot columns come in reverse
     row order, so the determinant carries the sign (-1)^(n(n-1)/2)."""
-    zero = CycloNum.zero(d)
-    return tuple(tuple(CycloNum.omega_power(d, i + 1) + 1 if j == n - 1 - i
+    one, zero = CycloNum.one(d), CycloNum.zero(d)
+    return tuple(tuple(CycloNum.omega_power(d, i + 1) + one if j == n - 1 - i
                        else zero for j in range(n)) for i in range(n))
 
 
