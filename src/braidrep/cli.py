@@ -8,7 +8,8 @@ error.
 Exit codes: 0 success, 2 precondition/validation failure (argument errors
 included), 3 internal mathematical invariant failure (a bug; the JSON error
 carries a minimal reproducer).  Output is deterministic: keys are sorted and
-sweep rows are emitted in sorted job order.  A sweep has at most
+sweep rows are emitted in sorted job order.  Every handler but ``sweep``
+returns one dict, and ``run`` adds its ``command`` key.  A sweep has at most
 ``MAX_SWEEP_ROWS`` rows.
 
 Usage sketch:
@@ -53,7 +54,7 @@ COMMON_FLAGS = ("out", "config")
 # fast with the strand count; a sweep has phi(d)^(n+1) rows per (d, n).
 MAX_N = 8              # n = strands - 1 for every command but sweep
 MAX_SWEEP_N = 5        # the largest n a sweep may request
-MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); --d 6 --n 5 (5833) takes ~50 s
+MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); --d 6 --n 5 (5833) takes ~28 s
 
 
 @dataclass
@@ -116,7 +117,6 @@ def _cmd_matrix(config: JobConfig) -> dict:
     w = parse_word(strands, config.word)
     tm = evaluate_word(w, config.basis)
     return {
-        "command": "matrix",
         "n": config.n,
         "word": config.word,
         "basis": config.basis,
@@ -131,7 +131,6 @@ def _cmd_verify(config: JobConfig) -> dict:
     _require(config, ("word",))
     w = parse_word(strands, config.word)
     return {
-        "command": "verify",
         "n": config.n,
         "word": config.word,
         "invariance": hermitian.verify_invariance(w),
@@ -143,7 +142,6 @@ def _cmd_form(config: JobConfig) -> dict:
     h = hermitian.form_matrix(strands)
     det = hermitian.form_determinant(strands)  # raises on closed-form mismatch
     return {
-        "command": "form",
         "n": config.n,
         "matrix": _matrix_strings(h),
         "determinant": str(det),
@@ -156,7 +154,6 @@ def _cmd_specialize(config: JobConfig) -> dict:
     h = hermitian.specialize_form(spec.d, spec.k)
     det = linalg.determinant(h)
     return {
-        "command": "specialize",
         "spec": spec.to_json(),
         "matrix": _matrix_strings(h),
         "determinant": str(det),
@@ -179,7 +176,6 @@ def _cmd_spectral(config: JobConfig) -> dict:
             unipotent_found = True
             break
     return {
-        "command": "spectral",
         "spec": spec.to_json(),
         "degenerate": rep.is_degenerate(),
         "span_dim": span_dim,
@@ -195,7 +191,6 @@ def _cmd_decompose(config: JobConfig) -> dict:
     rep = topology.homology_decomposition(spec)
     g_rh = topology.genus_riemann_hurwitz(spec)
     doc = rep.to_json()
-    doc["command"] = "decompose"
     doc["kernel_ranks"] = topology.kernel_ranks(spec)
     doc["genus_riemann_hurwitz"] = g_rh
     doc["genus_match"] = rep.genus == g_rh
@@ -206,16 +201,12 @@ def _cmd_dm(config: JobConfig) -> dict:
     spec = _cover_spec(config)
     _require(config, ("f",))
     doc = topology.dm_report(spec, config.f).to_json()
-    doc["command"] = "dm"
     doc["regime_bound"] = topology.dm_regime_bound(spec, config.f)
     return doc
 
 
 def _cmd_classify(config: JobConfig) -> dict:
-    spec = _cover_spec(config)
-    doc = topology.classify(spec).to_json()
-    doc["command"] = "classify"
-    return doc
+    return topology.classify(_cover_spec(config)).to_json()
 
 
 def _cmd_signature(config: JobConfig) -> dict:
@@ -229,7 +220,6 @@ def _cmd_signature(config: JobConfig) -> dict:
     else:
         sigs = hermitian.signature_report(spec.d, spec.k)
     return {
-        "command": "signature",
         "spec": spec.to_json(),
         "signatures": sigs,
         "rank_proxy": min((min(s["p"], s["q"]) for s in sigs), default=0),
@@ -297,7 +287,9 @@ def run(config: JobConfig):
             raise ValidationError(f"unknown command '{config.command}'")
         result = globals()[f"_cmd_{config.command}"](config)
         # a sweep prints JSON lines, every other command one document
-        return 0, result if config.command == "sweep" else _dump(result)
+        if config.command == "sweep":
+            return 0, result
+        return 0, _dump({**result, "command": config.command})
     except ValidationError as exc:
         return 2, _dump({"error": str(exc), "kind": "validation"})
     except InvariantError as exc:

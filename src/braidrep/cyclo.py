@@ -8,9 +8,9 @@ denominator-1 case avoids all gcd work.
 
 Arithmetic is closed: ``+``, ``-`` and ``*`` take only a ``CycloNum`` of the
 same order (another order raises ``ValueError``).  Any other operand, an
-``int`` or ``Fraction`` included, raises ``TypeError`` and compares unequal;
-a constant is written as ``CycloNum.one(d)`` or ``CycloNum(d, num, den)``,
-and a quotient as ``a * b.inverse()``.
+``int`` or ``Fraction`` included, raises a ``TypeError`` that names the
+operator, and compares unequal; a constant is written as ``CycloNum.one(d)``
+or ``CycloNum(d, num, den)``, and a quotient as ``a * b.inverse()``.
 
 The inverse is the Galois norm formula a^-1 = prod_{f != 1} sigma_f(a) /
 N(a): integer Galois twists and products only, no polynomial Euclid.  The
@@ -19,9 +19,12 @@ tower of the units mod d (cached per order), in O(log phi(d)) twists and
 products.
 
 Specialization of Laurent polynomials (Xi -> omega_d^{k_i}) and numeric
-embeddings (w -> e^{2*pi*i*f/d}) live here too.  Only Laurent polynomials
-are specialized: the one fraction-valued matrix, the form h, is specialized
-by ``hermitian.specialize_form`` from its numerators and the inverses of the
+embeddings (w -> e^{2*pi*i*f/d}) live here too.  A Laurent polynomial is
+specialized by one fold: its coefficients are summed by residue of e.k mod
+d, one row of the table of powers of omega per residue; only zero returns
+before the fold.  Only Laurent polynomials are specialized: the one
+fraction-valued matrix, the form h, is specialized by
+``hermitian.specialize_form`` from its numerators and the inverses of the
 values of its factors 1 - X_i.
 """
 
@@ -212,6 +215,8 @@ class CycloNum:
         return CycloNum._raw(self.d, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
+        if not isinstance(other, CycloNum):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -444,11 +449,11 @@ def specialize_matrix(mat: tuple, d: int, k: tuple) -> tuple:
 
 
 def _specialize_laurent(a: LaurentPoly, d: int, k: tuple) -> CycloNum:
-    """a at X_i -> omega_d^{k_i}, for weights already checked.  Zero and a
-    monomial c X^e (most entries of a pure generator are 0 or 1) are read
-    from the table of powers: c omega^(e.k mod d).  Otherwise the
+    """a at X_i -> omega_d^{k_i}, for weights already checked.  The
     coefficients are summed by residue of e.k mod d, and each residue class
-    costs one row of the table."""
+    costs one row of the table of powers of omega.  Zero returns at once:
+    it is the most common entry of a pure generator, and the fold would
+    still scan d residues for it."""
     if not isinstance(a, LaurentPoly):
         raise TypeError(f"cannot specialize {type(a).__name__}")
     if a.nvars != len(k):
@@ -456,22 +461,13 @@ def _specialize_laurent(a: LaurentPoly, d: int, k: tuple) -> CycloNum:
             f"weight tuple length {len(k)} does not match {a.nvars} variables")
     if not a.terms:
         return CycloNum.zero(d)
-    ctx = _context(d)
-    if len(a.terms) == 1:
-        ((e, c),) = a.terms.items()
-        m = 0
-        for x, ki in zip(e, k):
-            m += x * ki
-        row = ctx.omega_pows[m % d]
-        if c != 1:
-            row = tuple(c * x for x in row)
-        return CycloNum._raw(d, row, 1)
     residues = [0] * d
     for e, c in a.terms.items():
         m = 0
         for x, ki in zip(e, k):
             m += x * ki
         residues[m % d] += c
+    ctx = _context(d)
     deg = ctx.deg
     out = [0] * deg
     for m, c in enumerate(residues):

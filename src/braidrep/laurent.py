@@ -5,15 +5,21 @@ exponent vectors (int tuples of length ``nvars``, entries may be negative) to
 nonzero integer coefficients.  Two equal polynomials always have identical
 term maps, so ``==`` and ``hash`` are structural.  Arithmetic is closed:
 ``+``, ``-`` and ``*`` take only a ``LaurentPoly`` with the same variable
-count (another count raises ``ValueError``).  An ``int`` operand raises
-``TypeError`` and compares unequal; a constant is written as
-``LaurentPoly.constant(nvars, c)`` or ``LaurentPoly.one(nvars)``.
+count (another count raises ``ValueError``).  An ``int`` operand raises a
+``TypeError`` that names the operator, and compares unequal; a constant is
+written as ``LaurentPoly.constant(nvars, c)`` or ``LaurentPoly.one(nvars)``.
+The public constructor drops zero coefficients; ``LaurentPoly._raw`` is the
+one unchecked constructor, for term maps the arithmetic built itself.
 
 ``RationalFunction`` is a reduced fraction num/den of Laurent polynomials.
 The canonical form pins the unit ambiguity of the Laurent ring: the
 denominator is an ordinary polynomial (minimal exponent 0 in every variable),
 not divisible by any variable, with positive leading coefficient under the
-lexicographic monomial order; num and den have no common factor.
+lexicographic monomial order; num and den have no common factor.  The
+constructor reduces to that form, so ``+`` and ``*`` build the unreduced
+num/den and pass it to the constructor.  Its operators also take an ``int``
+or a ``LaurentPoly``, but ``==`` is closed like the other scalar types:
+any operand that is not a ``RationalFunction`` compares unequal.
 
 The multivariate gcd used for reduction is the classical primitive-PRS
 (content / primitive part) algorithm over Z, adequate at the small sizes this
@@ -37,6 +43,16 @@ class LaurentPoly:
         else:
             self.terms = {}
         self._hash = None
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict) -> LaurentPoly:
+        """Build without filtering; every coefficient of ``terms`` must be
+        nonzero, and the dict becomes the new polynomial's own."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -111,16 +127,15 @@ class LaurentPoly:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        p = LaurentPoly(self.nvars)
-        p.terms = terms
-        return p
+        return LaurentPoly._raw(self.nvars, terms)
 
     def __neg__(self):
-        p = LaurentPoly(self.nvars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return LaurentPoly._raw(self.nvars,
+                                {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -147,9 +162,7 @@ class LaurentPoly:
                         terms[e] = s
                     elif e in terms:
                         del terms[e]
-        p = LaurentPoly(self.nvars)
-        p.terms = terms
-        return p
+        return LaurentPoly._raw(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -180,31 +193,26 @@ class LaurentPoly:
 
     def involute(self) -> LaurentPoly:
         """The involution Xi -> Xi^-1 (negate every exponent)."""
-        p = LaurentPoly(self.nvars)
-        p.terms = {tuple(-x for x in e): c for e, c in self.terms.items()}
-        return p
+        return LaurentPoly._raw(
+            self.nvars, {tuple(-x for x in e): c for e, c in self.terms.items()})
 
     def permute_vars(self, images: tuple) -> LaurentPoly:
         """Substitute Xi -> X_{images[i-1]}; ``images`` is 0-based on positions.
 
         images[i] is the 0-based index that variable position i moves to.
         """
-        p = LaurentPoly(self.nvars)
         terms = {}
         for e, c in self.terms.items():
             ne = [0] * self.nvars
             for i, x in enumerate(e):
                 ne[images[i]] = x
             terms[tuple(ne)] = c
-        p.terms = terms
-        return p
+        return LaurentPoly._raw(self.nvars, terms)
 
     def shift(self, exps: tuple) -> LaurentPoly:
         """Multiply by the monomial X^exps."""
-        p = LaurentPoly(self.nvars)
-        p.terms = {tuple(map(sum, zip(e, exps))): c
-                   for e, c in self.terms.items()}
-        return p
+        return LaurentPoly._raw(self.nvars, {tuple(map(sum, zip(e, exps))): c
+                                             for e, c in self.terms.items()})
 
     def min_exponents(self) -> tuple:
         if not self.terms:
@@ -285,9 +293,7 @@ def _div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             if r:
                 raise ArithmeticError("inexact polynomial division")
             terms[e] = q
-        p = LaurentPoly(nvars)
-        p.terms = terms
-        return p
+        return LaurentPoly._raw(nvars, terms)
     eb, cb = b.leading()
     q = LaurentPoly.zero(nvars)
     r = a
@@ -307,20 +313,12 @@ def _div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 def _coeffs_in_var(p: LaurentPoly, v: int) -> dict:
     """Split p by the exponent of variable position v: degree -> coefficient poly."""
+    # a term is fixed by its exponent at v and its exponents elsewhere, so
+    # no two terms of p share a key
     out: dict = {}
     for e, c in p.terms.items():
-        d = e[v]
-        e0 = e[:v] + (0,) + e[v + 1:]
-        cp = out.get(d)
-        if cp is None:
-            cp = LaurentPoly(p.nvars)
-            out[d] = cp
-        s = cp.terms.get(e0, 0) + c
-        if s:
-            cp.terms[e0] = s
-        elif e0 in cp.terms:
-            del cp.terms[e0]
-    return {d: cp for d, cp in out.items() if cp.terms}
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return {d: LaurentPoly._raw(p.nvars, terms) for d, terms in out.items()}
 
 
 def _content_in(p: LaurentPoly, v: int) -> LaurentPoly:
@@ -468,24 +466,8 @@ class RationalFunction:
 
     def __add__(self, other):
         other = _coerce(other, self.nvars)
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction._raw(self.num + other.num, self.den)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        g = poly_gcd(self.den, other.den)
-        if g.is_one():
-            num = self.num * other.den + other.num * self.den
-            return RationalFunction._raw(num, self.den * other.den)
-        d1 = _div_unit_exact(self.den, g)
-        d2 = _div_unit_exact(other.den, g)
-        num = self.num * d2 + other.num * d1
-        g2 = poly_gcd(num, g)
-        if not g2.is_one():
-            num = _div_unit_exact(num, g2)
-            g = _div_unit_exact(g, g2)
-        return RationalFunction._raw(num, g * d1 * d2)
+        return RationalFunction(self.num * other.den + other.num * self.den,
+                                self.den * other.den)
 
     __radd__ = __add__
 
@@ -500,23 +482,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = _coerce(other, self.nvars)
-        if self.is_zero() or other.is_zero():
-            return RationalFunction.constant(self.nvars, 0)
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction._raw(self.num * other.num, self.den)
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        if not d2.is_one():
-            g = poly_gcd(n1, d2)
-            if not g.is_one():
-                n1 = _div_unit_exact(n1, g)
-                d2 = _div_unit_exact(d2, g)
-        if not d1.is_one():
-            g = poly_gcd(n2, d1)
-            if not g.is_one():
-                n2 = _div_unit_exact(n2, g)
-                d1 = _div_unit_exact(d1, g)
-        return RationalFunction._raw(n1 * n2, d1 * d2)
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -545,8 +511,6 @@ class RationalFunction:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = _coerce(other, self.nvars)
         return (isinstance(other, RationalFunction)
                 and self.num == other.num and self.den == other.den)
 

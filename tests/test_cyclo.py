@@ -4,6 +4,7 @@ import cmath
 import itertools
 import operator
 import random
+import re
 from math import gcd
 from fractions import Fraction
 
@@ -204,6 +205,16 @@ class TestOperandRule:
         assert (CycloNum.one(5) == Fraction(1)) is False
         assert (1 == CycloNum.one(5)) is False
 
+    def test_type_error_names_the_operator(self):
+        # - refuses a foreign operand itself, before it negates it
+        w = CycloNum.omega_power(5, 1)
+        for op, sign in ((operator.add, "+"), (operator.sub, "-"),
+                         (operator.mul, "*")):
+            for a, b in ((w, 2), (2, w)):
+                with pytest.raises(TypeError, match=re.escape(
+                        f"operand type(s) for {sign}: ")):
+                    op(a, b)
+
     def test_order_mismatch_raises_value_error(self):
         a, b = CycloNum.one(5), CycloNum.one(3)
         for op in (operator.add, operator.sub, operator.mul):
@@ -345,38 +356,26 @@ class TestSpecialization:
             assert (specialize_poly(a.involute(), d, k)
                     == specialize_poly(a, d, k).conjugate())
 
-    def test_monomial_fast_path_matches_residue_loop(self):
-        # every entry of every symbolic A_rs and A_rs^-1 on 2-6 strands, at
-        # every (d, k) with d <= 6; equal entries are specialized once.  Their
-        # monomials all have coefficient 1, so three with other coefficients
-        # join them
-        def entries(strands, inverses=True):
-            for r in range(1, strands):
-                for s in range(r + 1, strands + 1):
-                    word = pure_generator(r, s, strands)
-                    for w in (word, word.inverse()) if inverses else (word,):
-                        for row in _symbolic_matrix(w):
-                            yield from row
-
-        # on 6 strands, 285 of the 375 entries of the 15 A_rs take the fast
-        # path, 270 of them the constants 0 or 1
-        six = list(entries(6, inverses=False))
+    def test_zero_shortcut_matches_fold(self):
+        # zero returns before the fold; it is the most common entry of the
+        # symbolic A_rs, 220 of the 375 on 6 strands.  Its value is the one
+        # the fold gives, and the one a nonzero polynomial that vanishes at
+        # the root, Phi_d(X1), specializes to
+        six = [x for r in range(1, 6) for s in range(r + 1, 7)
+               for row in _symbolic_matrix(pure_generator(r, s, 6))
+               for x in row]
         assert len(six) == 375
-        assert sum(x.is_zero() or x.is_one() for x in six) == 270
-        assert sum(len(x.terms) <= 1 for x in six) == 285
-        multi = checked = 0
-        for strands in range(2, 7):
-            distinct = set(entries(strands)) | {
-                LaurentPoly.monomial(strands, tuple(range(-1, strands - 1)), c)
-                for c in (-3, -1, 2)}
-            multi += sum(len(x.terms) > 1 for x in distinct)
-            for d in range(2, 7):
+        assert sum(x.is_zero() for x in six) == 220
+        for d in range(2, 13):
+            phi = LaurentPoly(1, dict(((j,), c) for j, c in
+                                      enumerate(cyclotomic_polynomial(d))))
+            for strands in (1, 3):
+                zero = LaurentPoly.zero(strands)
                 for k in itertools.product(units(d), repeat=strands):
-                    for x in distinct:
-                        assert specialize_poly(x, d, k) == \
-                            _residue_specialization(x, d, k), (x, d, k)
-                        checked += 1
-        assert multi == 160 and checked == 514237
+                    value = specialize_poly(zero, d, k)
+                    assert value == _residue_specialization(zero, d, k)
+                    assert value == specialize_poly(phi, d, k[:1]) \
+                        == CycloNum.zero(d)
 
     def test_str_form(self):
         v = CycloNum(3, (2, 1), 3)
@@ -385,9 +384,9 @@ class TestSpecialization:
 
 
 def _residue_specialization(a, d, k):
-    """Reference for the specialization of a LaurentPoly, the loop that ran
-    before the monomial fast path: the coefficients summed by residue of e.k
-    mod d, then one row of the table of powers of omega per residue."""
+    """Reference for the specialization of a LaurentPoly, the fold written
+    out with no shortcut: the coefficients summed by residue of e.k mod d,
+    then one row of the table of powers of omega per residue."""
     ctx = _context(d)
     residues = [0] * d
     for e, c in a.terms.items():

@@ -1,5 +1,6 @@
-"""Import guards: the `test` extra in pyproject.toml names every package
-the tests import, and fractions stay in the modules of the symbolic form."""
+"""Import and source guards: the `test` extra in pyproject.toml names every
+package the tests import, fractions stay in the modules of the symbolic
+form, and only the two LaurentPoly constructors write a term map."""
 
 import ast
 import re
@@ -66,3 +67,40 @@ def test_rational_function_stays_in_the_form():
     users = {path.name for path in sorted((ROOT / "src" / "braidrep").glob("*.py"))
              if "RationalFunction" in _names(path)}
     assert users == {"laurent.py", "hermitian.py", "__init__.py"}
+
+
+def _term_map_writes(path: Path) -> list:
+    """(class, function, line) of every write to a ``.terms`` attribute:
+    an assignment or deletion of the attribute, or of one of its items."""
+    writes = []
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, fn)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+                continue
+            target = child.value if isinstance(child, ast.Subscript) else child
+            if (isinstance(target, ast.Attribute) and target.attr == "terms"
+                    and isinstance(child.ctx, (ast.Store, ast.Del))):
+                writes.append((cls, fn, child.lineno))
+            visit(child, cls, fn)
+
+    visit(ast.parse(path.read_text(), str(path)), None, None)
+    return writes
+
+
+def test_only_the_constructors_write_a_term_map():
+    # LaurentPoly.__init__ filters zero coefficients and LaurentPoly._raw
+    # takes a map the arithmetic built itself; no code builds a polynomial
+    # and then overwrites or edits its terms
+    allowed = {("LaurentPoly", "__init__"), ("LaurentPoly", "_raw")}
+    writes = [(path.name, cls, fn, line)
+              for path in sorted((ROOT / "src" / "braidrep").glob("*.py"))
+              for cls, fn, line in _term_map_writes(path)]
+    assert {(cls, fn) for _, cls, fn, _ in writes} >= allowed
+    outside = [f"{name}:{line} in {cls}.{fn}"
+               for name, cls, fn, line in writes if (cls, fn) not in allowed]
+    assert not outside, f"term maps written outside the constructors: {outside}"

@@ -2,6 +2,7 @@
 
 import operator
 import random
+import re
 
 import pytest
 
@@ -91,6 +92,16 @@ class TestOperandRule:
         assert (LaurentPoly.zero(2) == 0) is False
         assert (1 == one(2)) is False
 
+    def test_type_error_names_the_operator(self):
+        # - refuses a foreign operand itself, before it negates it
+        x = X(2, 1)
+        for op, sign in ((operator.add, "+"), (operator.sub, "-"),
+                         (operator.mul, "*")):
+            for a, b in ((x, 2), (2, x)):
+                with pytest.raises(TypeError, match=re.escape(
+                        f"operand type(s) for {sign}: ")):
+                    op(a, b)
+
     def test_nvars_mismatch_raises_value_error(self):
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(ValueError,
@@ -179,6 +190,37 @@ class TestRationalFunction:
         x1 = Xr(2, 1)
         r = (1 - x1 * x1) / (1 - x1)
         assert r == 1 + x1
+
+    def test_equality_is_closed(self):
+        # a fraction equals only a fraction, from either side
+        r = RationalFunction.constant(2, 1)
+        assert (r == one(2)) is False
+        assert (one(2) == r) is False
+        assert (r == 1) is False
+        assert (1 == r) is False
+        assert r == RationalFunction.from_poly(one(2))
+
+    def test_sum_and_product_are_canonical(self):
+        # + and * reduce through the constructor: the result is num/den
+        # with no common factor and a normalized denominator, and it equals
+        # the unreduced fraction by cross-multiplication
+        rng = random.Random(5)
+        count = 0
+        while count < 300:
+            nvars = rng.randint(1, 2)
+            pa, pb, da, db = (random_poly(rng, nvars, max_terms=3, max_exp=2)
+                              for _ in range(4))
+            if da.is_zero() or db.is_zero():
+                continue
+            count += 1
+            a, b = RationalFunction(pa, da), RationalFunction(pb, db)
+            for got, num, den in (
+                    (a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+                    (a * b, a.num * b.num, a.den * b.den)):
+                assert got.num * den == num * got.den
+                assert got.den.min_exponents() == (0,) * nvars
+                assert got.den.leading()[1] > 0
+                assert poly_gcd(got.num, got.den).is_one()
 
     def test_involution_example(self):
         # (1-X1X2)/((1-X1)(1-X2)) goes to its own negative
