@@ -54,7 +54,7 @@ COMMON_FLAGS = ("out", "config")
 # fast with the strand count; a sweep has phi(d)^(n+1) rows per (d, n).
 MAX_N = 8              # n = strands - 1 for every command but sweep
 MAX_SWEEP_N = 5        # the largest n a sweep may request
-MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); --d 6 --n 5 (5833) takes ~28 s
+MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); --d 6 --n 5 (5833) takes ~27 s
 
 
 @dataclass

@@ -12,6 +12,15 @@ same order (another order raises ``ValueError``).  Any other operand, an
 operator, and compares unequal; a constant is written as ``CycloNum.one(d)``
 or ``CycloNum(d, num, den)``, and a quotient as ``a * b.inverse()``.
 
+A product is one integer convolution of the coefficient vectors
+(``_convolve``) followed by one reduction modulo Phi_d (``_reduce``), which
+replaces each w^(deg+j) by its row in a per-order table.  The
+multiply-accumulate kernel ``dot(d, xs, ys)`` = sum of x * y uses the same two
+routines: it adds the convolutions of all the terms and reduces once, and,
+since reduction is linear, it returns exactly the sum of the products.
+Terms with a denominator other than 1 are brought to a common one first.
+The span closure of ``spectral`` computes its candidates with it.
+
 The inverse is the Galois norm formula a^-1 = prod_{f != 1} sigma_f(a) /
 N(a): integer Galois twists and products only, no polynomial Euclid.  The
 cofactor prod_{f != 1} sigma_f(a) is built by doubling along a generator
@@ -217,31 +226,26 @@ class CycloNum:
     def __sub__(self, other):
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self + (-other)
+        if self.d != other.d:
+            raise ValueError(f"cyclotomic order mismatch: {self.d} vs {other.d}")
+        if self.den == other.den:
+            num = tuple(a - b for a, b in zip(self.num, other.num))
+            if self.den == 1:
+                return CycloNum._raw(self.d, num, 1)
+            return CycloNum._raw(self.d, *_normalize(num, self.den))
+        da, db = self.den, other.den
+        num = tuple(a * db - b * da for a, b in zip(self.num, other.num))
+        return CycloNum._raw(self.d, *_normalize(num, da * db))
 
     def __mul__(self, other):
         if not isinstance(other, CycloNum):
             return NotImplemented
         if self.d != other.d:
             raise ValueError(f"cyclotomic order mismatch: {self.d} vs {other.d}")
-        a, b = self.num, other.num
-        deg = len(a)
-        conv = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        rows = _context(self.d).reduce_rows
-        num = conv[:deg]
-        for j in range(2 * deg - 2, deg - 1, -1):
-            c = conv[j]
-            if c:
-                row = rows[j - deg]
-                for i in range(deg):
-                    if row[i]:
-                        num[i] += c * row[i]
-        num = tuple(num)
+        ctx = _context(self.d)
+        conv = [0] * (2 * ctx.deg - 1)
+        _convolve(self.num, other.num, conv)
+        num = _reduce(conv, ctx)
         den = self.den * other.den
         if den == 1:
             return CycloNum._raw(self.d, num, 1)
@@ -387,6 +391,71 @@ def _normalize(num: tuple, den: int):
         num = tuple(a // g for a in num)
         den //= g
     return num, den
+
+
+def _convolve(a: tuple, b: tuple, conv: list):
+    """Add the integer convolution of the coefficient vectors a and b (the
+    unreduced product, 2 deg - 1 coefficients) into conv."""
+    for i, ai in enumerate(a):
+        if ai:
+            j = i
+            for bj in b:
+                if bj:
+                    conv[j] += ai * bj
+                j += 1
+
+
+def _reduce(conv: list, ctx: _Context) -> tuple:
+    """conv, 2 deg - 1 coefficients, modulo Phi_d: each w^(deg+j) is
+    replaced by its row in the reduction table."""
+    deg = ctx.deg
+    num = conv[:deg]
+    j = deg
+    for row in ctx.reduce_rows:
+        c = conv[j]
+        if c:
+            i = 0
+            for r in row:
+                if r:
+                    num[i] += c * r
+                i += 1
+        j += 1
+    return tuple(num)
+
+
+def dot(d: int, xs, ys) -> CycloNum:
+    """sum of x * y over the pairs of xs and ys, every term of order d; xs
+    and ys must have the same length (else ``ValueError``).
+
+    The integer convolutions of all the terms are summed and reduced modulo
+    Phi_d once; reduction is linear, so this equals the sum of the products
+    exactly.  A term is scaled to the least common multiple of the
+    denominators seen so far, and the sum is normalized once at the end.  An
+    empty sum is zero.
+    """
+    ctx = _context(d)
+    conv = [0] * (2 * ctx.deg - 1)
+    den = 1
+    for x, y in zip(xs, ys, strict=True):
+        if x.d != d or y.d != d:
+            raise ValueError(
+                f"cyclotomic order mismatch: {x.d} and {y.d} vs {d}")
+        a = x.num
+        term_den = x.den * y.den
+        if term_den != den:
+            common = den * term_den // _int_gcd(den, term_den)
+            if common != den:
+                scale = common // den
+                conv = [c * scale for c in conv]
+                den = common
+            if common != term_den:
+                scale = common // term_den
+                a = tuple(c * scale for c in a)
+        _convolve(a, y.num, conv)
+    num = _reduce(conv, ctx)
+    if den == 1:
+        return CycloNum._raw(d, num, 1)
+    return CycloNum._raw(d, *_normalize(num, den))
 
 
 # ---------------------------------------------------------------------------

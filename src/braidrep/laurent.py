@@ -136,7 +136,19 @@ class LaurentPoly:
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        if not self.terms:
+            return -other
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e, 0) - c
+            if s:
+                terms[e] = s
+            elif e in terms:
+                del terms[e]
+        return LaurentPoly._raw(self.nvars, terms)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):

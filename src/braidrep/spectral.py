@@ -2,31 +2,32 @@
 
 The symbolic reduced matrix of a pure word is cached by the word (it does
 not depend on the weights), and ``SpecializedRep.word_matrix`` specializes
-it once per representation, on first use: one cheap monomial-evaluation
-pass, and only for the words the caller reads (the flag check reads A_12,
-the sub-twist and the generators on strands 2..p; the span closure reads the
-reflections s_i^2, and so does the fixed space unless the spec is
-degenerate).  The heavy predicate here is the span-closure
-irreducibility test (Burnside: the reflections s_i^2 generate M_n exactly
-when the representation is irreducible).  s_i^2 - 1 is nonzero in one row
-only, so the closure works in row blocks: n independent ``linalg.Echelon``
-forms of length-n rows, one per matrix row.  A matrix it explores differs
-from its parent in one row, and only the at most 3 reflections that read
-that row can offer a new candidate, so only those are tried.  An inserted
-row costs one ``CycloNum`` inverse (the Galois norm, integer arithmetic
-only).  The identity is never reduced; it adds one dimension unless every
-block holds its own unit vector.  The fixed space reads the rows of A - 1
-lazily, the reflections first, and stops at full rank, so off the
-degenerate case it specializes no generator beyond the reflections.  In
-the degenerate case the unipotent commutator u = [A, Delta'^2], A = A_12 =
-s_1^2, is built once per call as the rank-one update u = A + v y^T of A
-(A - 1 and A^-1 - 1 live in row 0), and its flag unipotency is proved from
-the pure generators rather than sampled over conjugates.  No elimination
-and no matrix product runs on that path: inverse matrices (A_rs^-1, the
-inverse sub-twist) are the matrices of the inverse words, whose entries are
-Laurent, and the basis (w, eps_2, ..., eps_n) differs from the standard one
-in one vector, so a matrix is rewritten in it by a rank-one update with one
-``CycloNum`` inverse, 1 / w_1.
+it once per representation, on first use, by the residue fold of
+``cyclo.specialize_matrix``, and only for the words the caller reads (the
+flag check reads A_12, the sub-twist and the generators on strands 2..p;
+the span closure reads the reflections s_i^2, and so does the fixed space
+unless the spec is degenerate).  The heavy predicate here is the
+span-closure irreducibility test (Burnside: the reflections s_i^2 generate
+M_n exactly when the representation is irreducible).  s_i^2 - 1 is nonzero
+in one row only, so the closure works in row blocks: n independent
+``linalg.Echelon`` forms of length-n rows, one per matrix row.  A matrix it
+explores differs from its parent in one row, and only the at most 3
+reflections that read that row can offer a new candidate, so only those are
+tried.  Each entry of a candidate r_i^T b is one ``cyclo.dot`` of at most 3
+terms, reduced modulo Phi_d once.  An inserted row costs one ``CycloNum``
+inverse (the Galois norm, integer arithmetic only).  The identity is never
+reduced; it adds one dimension unless every block holds its own unit
+vector.  The fixed space reads the rows of A - 1 lazily, the reflections
+first, and stops at full rank, so off the degenerate case it specializes no
+generator beyond the reflections.  In the degenerate case the unipotent
+commutator u = [A, Delta'^2], A = A_12 = s_1^2, is built once per call as
+the rank-one update u = A + v y^T of A (A - 1 and A^-1 - 1 live in row 0),
+and its flag unipotency is proved from the pure generators rather than
+sampled over conjugates.  No elimination and no matrix product runs on that
+path: inverse matrices (A_rs^-1, the inverse sub-twist) are the matrices of
+the inverse words, whose entries are Laurent, and the basis (w, eps_2, ...,
+eps_n) differs from the standard one in one vector, so a matrix is
+rewritten in it by a rank-one update with one ``CycloNum`` inverse, 1/w_1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import accumulate
 
 from . import linalg
 from .braid import BraidWord, full_twist, pure_generator
-from .cyclo import CycloNum, check_spec_weights, specialize_matrix
+from .cyclo import CycloNum, check_spec_weights, dot, specialize_matrix
 from .errors import InvariantError, ValidationError
 from .gassner import evaluate_word
 
@@ -386,12 +387,16 @@ def burnside_irreducibility(rep: SpecializedRep):
     nsq = n * n
     blocks = [linalg.Echelon() for _ in range(n)]
     rank = 0
-    reflections = rep.reflection_rows()
+    # per reflection: its row idx, and the columns and values of the nonzero
+    # entries of r_i
+    reflections = [(idx, tuple(col for col, _ in entries),
+                    tuple(c for _, c in entries))
+                   for idx, entries in rep.reflection_rows()]
     # readers[c]: the reflections whose row r_j has a nonzero entry in column
     # c, i.e. whose candidate changes when matrix row c does
     readers = [[] for _ in range(n)]
     for refl in reflections:
-        for col, _ in refl[1]:
+        for col in refl[1]:
             readers[col].append(refl)
     # each entry is a matrix and the reflections to try on it: all of them
     # for the identity, the readers of the row it changed otherwise
@@ -402,17 +407,15 @@ def burnside_irreducibility(rep: SpecializedRep):
     cap = 2 * (nsq + 1) * len(reflections)
     while worklist and rank < nsq:
         b, tries = worklist.popleft()
-        for idx, entries in tries:
+        for idx, cols, coeffs in tries:
             produced += 1
             if produced > cap:
                 raise InvariantError(
                     "span closure failed to stabilize",
                     reproducer={"op": "burnside", "d": d, "k": list(rep.k)})
-            delta = [zero] * n
-            for col, coeff in entries:
-                for t, x in enumerate(b[col]):
-                    if not x.is_zero():
-                        delta[t] = delta[t] + coeff * x
+            # delta_i(b) = r_i^T b: one dot product per column of b
+            delta = [dot(d, coeffs, column)
+                     for column in zip(*(b[col] for col in cols))]
             if blocks[idx].insert(list(delta)) is None:
                 continue
             rank += 1

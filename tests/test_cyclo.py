@@ -16,6 +16,7 @@ from braidrep.cyclo import (
     CycloNum,
     _context,
     cyclotomic_polynomial,
+    dot,
     specialize_matrix,
     specialize_poly,
     units,
@@ -221,6 +222,91 @@ class TestOperandRule:
             with pytest.raises(ValueError,
                                match="cyclotomic order mismatch: 5 vs 3"):
                 op(a, b)
+
+
+def _operand(rng: random.Random, d: int) -> CycloNum:
+    """A seeded element of Q(omega_d): zero in about one case in six, and a
+    denominator other than 1 in about half of the rest."""
+    deg = len(cyclotomic_polynomial(d)) - 1
+    if rng.random() < 1 / 6:
+        return CycloNum.zero(d)
+    den = 1 if rng.random() < 0.5 else rng.randint(2, 6)
+    return CycloNum(d, tuple(rng.randint(-4, 4) for _ in range(deg)), den)
+
+
+def _structure(x: CycloNum) -> tuple:
+    return x.d, x.num, x.den
+
+
+class TestMultiplyAccumulate:
+    """cyclo.dot and the direct - give the operators' canonical form exactly:
+    reduction modulo Phi_d is linear, and both normalize at the end."""
+
+    ORDERS = tuple(range(2, 13)) + (16, 128)
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_dot_is_the_sum_of_products(self, d):
+        rng = random.Random(d)
+        for length in (1, 2, 3, 4):
+            for _ in range(12 if d < 100 else 2):
+                xs = [_operand(rng, d) for _ in range(length)]
+                ys = [_operand(rng, d) for _ in range(length)]
+                ref = CycloNum.zero(d)
+                for x, y in zip(xs, ys):
+                    ref = ref + x * y
+                got = dot(d, xs, ys)
+                assert _structure(got) == _structure(ref), (xs, ys)
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_direct_sub_is_add_of_negation(self, d):
+        rng = random.Random(100 + d)
+        for _ in range(40 if d < 100 else 6):
+            a, b = _operand(rng, d), _operand(rng, d)
+            assert _structure(a - b) == _structure(a + (-b)), (a, b)
+
+    def test_mixed_denominators(self):
+        # the terms' denominators 2*3, 4*1 and 5*3 have lcm 60; a term over 4
+        # and one over 6 cancel to an integer
+        d = 7
+        x = [rational(d, Fraction(1, 2)), CycloNum.omega_power(d, 2),
+             rational(d, Fraction(-2, 5))]
+        y = [rational(d, Fraction(1, 3)) * CycloNum.omega_power(d, 1),
+             rational(d, Fraction(3, 4)), rational(d, Fraction(1, 3))]
+        got = dot(d, x, y)
+        assert _structure(got) == _structure(x[0] * y[0] + x[1] * y[1]
+                                             + x[2] * y[2])
+        assert got.den == 60
+        half, sixth = rational(d, Fraction(1, 4)), rational(d, Fraction(1, 6))
+        three = rational(d, Fraction(3))
+        got = dot(d, [half, sixth], [three, rational(d, Fraction(3, 2))])
+        assert _structure(got) == _structure(rational(d, Fraction(1)))
+
+    def test_single_term_and_zero_operands(self):
+        for d in (2, 5, 12):
+            w = CycloNum.omega_power(d, 1) * rational(d, Fraction(2, 3))
+            zero = CycloNum.zero(d)
+            assert _structure(dot(d, [w], [w])) == _structure(w * w)
+            assert _structure(dot(d, [zero], [w])) == _structure(zero)
+            assert _structure(dot(d, [w, zero], [zero, w])) == \
+                _structure(zero)
+            assert _structure(dot(d, [zero, w], [w, w])) == _structure(w * w)
+
+    def test_empty_sum_is_zero(self):
+        for d in self.ORDERS:
+            assert _structure(dot(d, [], [])) == _structure(CycloNum.zero(d))
+
+    def test_order_mismatch_raises_value_error(self):
+        five, seven = CycloNum.one(5), CycloNum.one(7)
+        for xs, ys in (([five], [seven]), ([seven], [five]),
+                       ([seven], [seven]), ([five, five], [five, seven])):
+            with pytest.raises(ValueError, match="cyclotomic order mismatch"):
+                dot(5, xs, ys)
+
+    def test_length_mismatch_raises_value_error(self):
+        five = CycloNum.one(5)
+        for xs, ys in (([five], []), ([five], [five, five])):
+            with pytest.raises(ValueError):
+                dot(5, xs, ys)
 
 
 class TestEmbedding:

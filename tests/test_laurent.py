@@ -123,6 +123,19 @@ class TestRingAxioms:
             assert a + b == b + a
             assert a * b == b * a
 
+    def test_direct_sub_is_add_of_negation(self):
+        # the same terms in the same order, with no zero coefficient;
+        # (a + b) - b cancels b's terms and b - b cancels all of them
+        rng = random.Random(7)
+        for _ in range(1000):
+            nvars = rng.randint(1, 3)
+            a = random_poly(rng, nvars)
+            b = random_poly(rng, nvars)
+            for x, y in ((a, b), (a + b, b), (b, b)):
+                got, ref = x - y, x + (-y)
+                assert list(got.terms.items()) == list(ref.terms.items())
+                assert all(got.terms.values())
+
     def test_involution_is_ring_automorphism(self):
         rng = random.Random(1)
         for _ in range(1000):
