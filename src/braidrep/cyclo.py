@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import InvariantError, ValidationError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _div_exact
 
 
 def cyclotomic_polynomial(d: int) -> tuple:
@@ -115,33 +115,14 @@ def units(d: int) -> tuple:
 
 
 def _compute_cyclotomic(d: int) -> tuple:
-    # Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e, by exact univariate division
-    num = [0] * (d + 1)
-    num[0] = -1
-    num[d] = 1
+    # Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e, by exact division of
+    # one-variable polynomials
+    phi = LaurentPoly(1, {(0,): -1, (d,): 1})
     for e in range(1, d):
         if d % e == 0:
-            num = _poly_divide_exact(num, list(_context(e).phi_poly))
-    return tuple(num)
-
-
-def _poly_divide_exact(num: list, den: list) -> list:
-    while den and den[-1] == 0:
-        den.pop()
-    out = [0] * (len(num) - len(den) + 1)
-    work = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        c = work[i + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("inexact cyclotomic division")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, dc in enumerate(den):
-                work[i + j] -= q * dc
-    if any(work):
-        raise ArithmeticError("inexact cyclotomic division")
-    return out
+            phi = _div_exact(phi, LaurentPoly(
+                1, {(i,): c for i, c in enumerate(_context(e).phi_poly)}))
+    return tuple(phi.terms.get((i,), 0) for i in range(phi.degree_in(0) + 1))
 
 
 _contexts: dict = {}

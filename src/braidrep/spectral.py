@@ -25,9 +25,11 @@ the rank-one update u = A + v y^T of A (A - 1 and A^-1 - 1 live in row 0),
 and its flag unipotency is proved from the pure generators rather than
 sampled over conjugates.  No elimination and no matrix product runs on that
 path: inverse matrices (A_rs^-1, the inverse sub-twist) are the matrices of
-the inverse words, whose entries are Laurent, and the basis (w, eps_2, ...,
-eps_n) differs from the standard one in one vector, so a matrix is
-rewritten in it by a rank-one update with one ``CycloNum`` inverse, 1/w_1.
+the inverse words, whose entries are Laurent.  The basis (w, eps_2, ...,
+eps_n) of the flag differs from the standard one in one vector, so
+membership in the flag stabilizer and its unipotent radical is read from
+the entries of the matrix and of m w, cross-multiplied by w_1 = 1 - t_1: no
+change of basis and no ``CycloNum`` inverse.
 """
 
 from __future__ import annotations
@@ -65,14 +67,13 @@ class SpecializedRep:
     the generators A_rs included, is specialized on first use by
     ``word_matrix`` and kept in its one word-keyed cache."""
 
-    __slots__ = ("strands", "d", "k", "_words", "_reflection_rows")
+    __slots__ = ("strands", "d", "k", "_words")
 
     def __init__(self, d: int, k: tuple):
         self.strands = len(k)
         self.d = d
         self.k = tuple(k)
         self._words = {}
-        self._reflection_rows = None
 
     @property
     def dim(self) -> int:
@@ -98,17 +99,15 @@ class SpecializedRep:
         (idx, [(col, coeff)]) with idx = i - 1 and zero coefficients left
         out.  It is read from A_{i,i+1} = s_i^2, whose other rows must be
         identity rows."""
-        if self._reflection_rows is None:
-            rows = []
-            for i in range(1, self.strands):
-                row = _row_support(
-                    self.matrix(i, i + 1), i - 1,
-                    {"op": "reflection_rows", "d": self.d, "k": list(self.k),
-                     "i": i})
-                rows.append((i - 1, [(col, c) for col, c in enumerate(row)
-                                     if not c.is_zero()]))
-            self._reflection_rows = rows
-        return self._reflection_rows
+        rows = []
+        for i in range(1, self.strands):
+            row = _row_support(
+                self.matrix(i, i + 1), i - 1,
+                {"op": "reflection_rows", "d": self.d, "k": list(self.k),
+                 "i": i})
+            rows.append((i - 1, [(col, c) for col, c in enumerate(row)
+                                 if not c.is_zero()]))
+        return rows
 
     def central_scalar(self) -> CycloNum:
         """t_1 ... t_{n+1}."""
@@ -242,30 +241,6 @@ def _commutator(rep: SpecializedRep, p: int) -> tuple:
                  for row, vi in zip(a, v))
 
 
-def _adapted_basis(rep: SpecializedRep) -> tuple:
-    """(w, 1/w_1) for the basis (w, eps_2, ..., eps_n), w =
-    rep.invariant_coords(); w_1 = 1 - t_1 != 0, so these vectors are a
-    basis."""
-    w = rep.invariant_coords()
-    return w, w[0].inverse()
-
-
-def _in_basis(m: tuple, basis: tuple) -> tuple:
-    """c^-1 m c, where the columns of c are (w, eps_2, ..., eps_n).
-
-    c differs from the identity in column 0 only, so c^-1 y = (a, y_2 -
-    a w_2, ..., y_n - a w_n) with a = y_1 / w_1, and the columns of m c are
-    m w followed by m's own columns 2..n: O(n^2) products, no elimination.
-    """
-    w, winv = basis
-    cols = [linalg.mat_vec(m, w)] + list(zip(*m))[1:]
-    out = []
-    for y in cols:
-        a = y[0] * winv
-        out.append((a,) + tuple(yi - a * wi for yi, wi in zip(y[1:], w[1:])))
-    return tuple(zip(*out))
-
-
 def _check_degenerate_block(d: int, k: tuple, p: int):
     """Validate a degenerate block: p >= 3 strands whose weights k_1..k_p
     sum to 0 mod d."""
@@ -304,23 +279,38 @@ def unipotent_commutator(d: int, k: tuple) -> tuple:
     return u
 
 
-def _in_flag_stabilizer(b: tuple, unipotent: bool) -> bool:
-    """Whether b, written in the adapted basis, lies in the stabilizer P(F)
-    of the flag  span(w) < span(w, eps_2..eps_{n-1}) < everything, i.e. is
-    block upper triangular for the index blocks {0}, {1..n-2}, {n-1}; with
-    ``unipotent``, whether it lies in U(F), i.e. also has identity diagonal
-    blocks."""
-    last = len(b) - 1
+def _in_flag_group(m: tuple, w: tuple, unipotent: bool) -> bool:
+    """Whether m lies in the stabilizer P(F) of the flag  span(w) <
+    span(w, eps_2..eps_{n-1}) < everything; with ``unipotent``, whether it
+    lies in its unipotent radical U(F).
 
-    def block(i: int) -> int:
-        return 0 if i == 0 else (2 if i == last else 1)
-
-    for i, row in enumerate(b):
-        for j, x in enumerate(row):
-            if block(i) > block(j) or (unipotent and block(i) == block(j)):
-                if not (x.is_one() if i == j else x.is_zero()):
-                    return False
-    return True
+    These are block conditions on c^-1 m c, c = (w, eps_2, ..., eps_n), for
+    the index blocks {1}, {2..n-1}, {n} (1-based): upper triangular for
+    P(F), with identity diagonal blocks for U(F).  c differs from the
+    identity in column 1 only, so column 1 of c^-1 m c is c^-1 (m w), and
+    for i, j >= 2 entry [i][j] of w_1 c^-1 m c is w_1 m[i][j] - m[1][j] w_i,
+    where w_1 = 1 - t_1 != 0.  So m is in P(F) iff w_1 (m w)_i = (m w)_1 w_i
+    for i >= 2 and w_1 m[n][j] = m[1][j] w_n for 2 <= j <= n-1, and in U(F)
+    iff also m w = w (which implies the first condition) and w_1 m[i][j] -
+    m[1][j] w_i = delta_ij w_1 on the middle block and at (n, n).  No basis
+    is changed and no inverse taken.
+    """
+    n = len(m)
+    w1 = w[0]
+    mw = linalg.mat_vec(m, w)
+    if unipotent:
+        if mw != w:
+            return False
+    elif any(w1 * mw[i] != mw[0] * w[i] for i in range(1, n)):
+        return False
+    last = n - 1
+    cells = [(last, j) for j in range(1, last)]
+    if unipotent:
+        cells += [(i, j) for i in range(1, last) for j in range(1, last)]
+        cells.append((last, last))
+    zero = CycloNum.zero(w1.d)
+    return all(w1 * m[i][j] - m[0][j] * w[i] == (w1 if i == j else zero)
+               for i, j in cells)
 
 
 def flag_unipotency_check(d: int, k: tuple, seed: int = 0) -> bool:
@@ -345,10 +335,10 @@ def flag_unipotency_check(d: int, k: tuple, seed: int = 0) -> bool:
     p = len(k) - 1
     _check_degenerate_block(d, k, p)
     rep = specialize_rep(d, k)
-    basis = _adapted_basis(rep)
-    if not _in_flag_stabilizer(_in_basis(_commutator(rep, p), basis), True):
+    w = rep.invariant_coords()
+    if not _in_flag_group(_commutator(rep, p), w, True):
         return False
-    return all(_in_flag_stabilizer(_in_basis(rep.matrix(r, s), basis), False)
+    return all(_in_flag_group(rep.matrix(r, s), w, False)
                for r in range(2, p) for s in range(r + 1, p + 1))
 
 

@@ -7,7 +7,7 @@ The module name has no ``test_`` prefix, so pytest does not collect it.
 from braidrep import linalg, spectral
 from braidrep.artin import FreeWord, artin_apply, derive_unreduced_matrix
 from braidrep.braid import BraidWord, full_twist, pure_generator
-from braidrep.cyclo import specialize_poly
+from braidrep.cyclo import CycloNum, specialize_poly
 from braidrep.gassner import evaluate_word
 from braidrep.laurent import LaurentPoly, RationalFunction
 
@@ -253,8 +253,38 @@ def burau_matches_gassner_at_ones(strands: int, d: int) -> bool:
     return True
 
 
+# -- the flag of the degenerate case ---------------------------------------------
+
+def w_basis(w: tuple) -> tuple:
+    """The matrix c with columns (w, eps_2, ..., eps_n)."""
+    n = len(w)
+    one, zero = CycloNum.one(w[0].d), CycloNum.zero(w[0].d)
+    return tuple(tuple(w[a] if j == 0 else (one if a == j else zero)
+                       for j in range(n)) for a in range(n))
+
+
+def in_w_basis(m: tuple, w: tuple) -> tuple:
+    """c^-1 m c with the dense basis matrix c = w_basis(w) and its
+    eliminated inverse: the dense reference for the flag predicate."""
+    c = w_basis(w)
+    return linalg.mat_mul(linalg.mat_inverse(c), linalg.mat_mul(m, c))
+
+
+def in_flag_group(m: tuple, w: tuple, unipotent: bool) -> bool:
+    """Whether c^-1 m c is block upper triangular for the index blocks {0},
+    {1..n-2}, {n-1} (m in P(F)); with ``unipotent``, whether its diagonal
+    blocks are also identities (m in U(F))."""
+    n = len(m)
+    one, zero = CycloNum.one(w[0].d), CycloNum.zero(w[0].d)
+    b = in_w_basis(m, w)
+    cells = [(i, 0) for i in range(1, n)] + [(n - 1, j) for j in range(1, n - 1)]
+    if unipotent:
+        cells += [(0, 0), (n - 1, n - 1)] + [(i, j) for i in range(1, n - 1)
+                                             for j in range(1, n - 1)]
+    return all(b[i][j] == (one if i == j else zero) for i, j in cells)
+
+
 def commutator_in_w_basis(d: int, k: tuple) -> tuple:
     """The commutator written in the basis (w, eps_2, ..., eps_{p-1})."""
     u = spectral.unipotent_commutator(d, k)
-    basis = spectral._adapted_basis(spectral.specialize_rep(d, k))
-    return spectral._in_basis(u, basis)
+    return in_w_basis(u, spectral.specialize_rep(d, k).invariant_coords())

@@ -1,6 +1,7 @@
 """Import and source guards: the `test` extra in pyproject.toml names every
 package the tests import, fractions stay in the modules of the symbolic
-form, and only the two LaurentPoly constructors write a term map."""
+form, only the two LaurentPoly constructors write a term map, and every
+private helper of the package is used by the package."""
 
 import ast
 import re
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from braidrep import cli
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -104,3 +107,33 @@ def test_only_the_constructors_write_a_term_map():
     outside = [f"{name}:{line} in {cls}.{fn}"
                for name, cls, fn, line in writes if (cls, fn) not in allowed]
     assert not outside, f"term maps written outside the constructors: {outside}"
+
+
+def test_every_private_helper_is_used():
+    # a function, method or class whose name starts with one underscore
+    # serves the package only, so src/braidrep must reference it outside its
+    # own definition; the _cmd_<name> handlers are looked up by name, so
+    # they are matched against cli.COMMANDS instead
+    defs, refs = [], []
+    for path in sorted((ROOT / "src" / "braidrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((node.name, path.name, node.lineno,
+                                 node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, path.name, node.lineno))
+            elif isinstance(node, ast.alias):
+                refs.append((node.name, path.name, node.lineno))
+    handlers = {name[len("_cmd_"):] for name, *_ in defs
+                if name.startswith("_cmd_")}
+    assert handlers == set(cli.COMMANDS)
+    unused = [f"{file}:{first} {name}" for name, file, first, last in defs
+              if not name.startswith("_cmd_")
+              and not any(ref == name and not (where == file
+                                               and first <= line <= last)
+                          for ref, where, line in refs)]
+    assert not unused, f"private helpers nothing in the package uses: {unused}"

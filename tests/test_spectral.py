@@ -27,6 +27,9 @@ from oracles import (
     central_scalar_matches,
     commutator_in_w_basis,
     generator_matrices,
+    in_flag_group,
+    in_w_basis,
+    w_basis,
 )
 
 
@@ -287,7 +290,7 @@ class TestFlagUnipotency:
         def sheared(rep, p):
             n = rep.dim
             one, zero = CycloNum.one(d), CycloNum.zero(d)
-            c = _w_basis(rep.invariant_coords(), d)
+            c = w_basis(rep.invariant_coords())
             s = tuple(tuple(one if a == b or (a, b) == (1, 2) else zero
                             for b in range(n)) for a in range(n))
             shear = linalg.mat_mul(c, linalg.mat_mul(s, linalg.mat_inverse(c)))
@@ -297,39 +300,10 @@ class TestFlagUnipotency:
         assert flag_unipotency_check(d, k) is False
 
 
-def _w_basis(w, d):
-    """The matrix with columns (w, eps_2, ..., eps_n)."""
-    n = len(w)
-    one, zero = CycloNum.one(d), CycloNum.zero(d)
-    return tuple(tuple(w[a] if j == 0 else (one if a == j else zero)
-                       for j in range(n)) for a in range(n))
-
-
-def _block_unipotent_oracle(m, w, d):
-    """m in the basis (w, eps_2, ..., eps_n) is block upper unipotent for the
-    index blocks {0}, {1..n-2}, {n-1}; computed without spectral's helpers."""
-    n = len(m)
-    one, zero = CycloNum.one(d), CycloNum.zero(d)
-    c = _w_basis(w, d)
-    b = linalg.mat_mul(linalg.mat_inverse(c), linalg.mat_mul(m, c))
-    lower = [(i, 0) for i in range(1, n)] + [(n - 1, j) for j in range(1, n - 1)]
-    diag = [(0, 0), (n - 1, n - 1)] + [(i, j) for i in range(1, n - 1)
-                                       for j in range(1, n - 1)]
-    return (all(b[i][j].is_zero() for i, j in lower)
-            and all(b[i][j] == (one if i == j else zero) for i, j in diag))
-
-
-def _dense_in_basis(m, w):
-    """Reference for spectral._in_basis: c^-1 m c with the dense basis
-    matrix c = (w, eps_2, ..., eps_n) and its eliminated inverse."""
-    c = _w_basis(w, w[0].d)
-    return linalg.mat_mul(linalg.mat_inverse(c), linalg.mat_mul(m, c))
-
-
-def _c07_small_extensions():
-    """Every (d, k + (e,)) of the C07 slice with d <= 4: p = len(k) in
+def _c07_extensions(max_d: int = 6):
+    """Every (d, k + (e,)) of the C07 slice with d <= max_d: p = len(k) in
     3..5, d | sum(k), e any unit."""
-    for d in (2, 3, 4):
+    for d in range(2, max_d + 1):
         units = coprime_units(d)
         for p in (3, 4, 5):
             for k in itertools.product(units, repeat=p):
@@ -338,22 +312,77 @@ def _c07_small_extensions():
                         yield d, k + (e,)
 
 
-class TestRankOneBasis:
-    def test_in_basis_matches_dense(self):
+class TestFlagGroup:
+    """spectral._in_flag_group, read from the entries of m, against the
+    dense reference c^-1 m c of oracles.in_flag_group."""
+
+    def test_matches_dense_reference(self):
         checked = 0
-        for d, k in _c07_small_extensions():
+        seen = set()
+        for d, k in _c07_extensions(4):
             p = len(k) - 1
             rep = specialize_rep(d, k)
             w = rep.invariant_coords()
-            basis = spectral._adapted_basis(rep)
             mats = [spectral._commutator(rep, p)]
             mats += list(generator_matrices(rep).values())
             for m in mats:
-                assert spectral._in_basis(m, basis) == _dense_in_basis(m, w), \
-                    (d, k)
+                for unipotent in (False, True):
+                    got = spectral._in_flag_group(m, w, unipotent)
+                    assert got == in_flag_group(m, w, unipotent), \
+                        (d, k, unipotent)
+                    seen.add((unipotent, got))
             checked += 1
         assert checked == 53
+        # both answers occur in both modes (A_12 is not in P(F))
+        assert seen == {(False, False), (False, True),
+                        (True, False), (True, True)}
 
+    # each condition of the predicate, with the one cell of c^-1 u c whose
+    # perturbation breaks that condition only, and the mode that reads it
+    @pytest.mark.parametrize("condition", ["m w in span(w)", "row n",
+                                           "m w = w", "middle block",
+                                           "(n, n)"])
+    @pytest.mark.parametrize("d, k", [(3, (1, 1, 1, 1)), (4, (1, 1, 1, 1, 1)),
+                                      (5, (1, 2, 3, 4, 2)),
+                                      (5, (1, 1, 1, 1, 1, 1))])
+    def test_perturbation_is_rejected(self, condition, d, k):
+        rep = specialize_rep(d, k)
+        w = rep.invariant_coords()
+        u = spectral._commutator(rep, len(k) - 1)
+        n = len(u)
+        assert spectral._in_flag_group(u, w, True)
+        i, j, unipotent = {
+            "m w in span(w)": (1, 0, False),
+            "row n": (n - 1, 1, False),
+            "m w = w": (0, 0, True),
+            "middle block": (1, 1, True),
+            "(n, n)": (n - 1, n - 1, True),
+        }[condition]
+        b = [list(row) for row in in_w_basis(u, w)]
+        b[i][j] = b[i][j] + CycloNum.one(d)
+        c = w_basis(w)
+        m = linalg.mat_mul(c, linalg.mat_mul(tuple(map(tuple, b)),
+                                             linalg.mat_inverse(c)))
+        assert not in_flag_group(m, w, unipotent)
+        assert not spectral._in_flag_group(m, w, unipotent)
+        if unipotent:
+            # a U(F) condition only: m is still in P(F)
+            assert in_flag_group(m, w, False)
+            assert spectral._in_flag_group(m, w, False)
+
+    def test_flag_check_takes_no_inverse(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("CycloNum.inverse called by the flag check")
+
+        monkeypatch.setattr(CycloNum, "inverse", refuse)
+        checked = 0
+        for d, k in _c07_extensions():
+            assert flag_unipotency_check(d, k), (d, k)
+            checked += 1
+        assert checked == 1137
+
+
+class TestRankOneBasis:
     def test_symbolic_inverses(self):
         # A_rs A_rs^-1 = 1 and Delta'^2 (Delta'^2)^-1 = 1, both inverses
         # specialized from the inverse words
@@ -407,7 +436,7 @@ def _seeded_degenerate_reps(seed):
 class TestRankOneCommutator:
     def test_matches_dense_on_c07_extensions(self):
         checked = 0
-        for d, kk in _c07_small_extensions():
+        for d, kk in _c07_extensions(4):
             k = kk[:-1]
             p = len(k)
             for rep in (specialize_rep(d, k), specialize_rep(d, kk)):
@@ -495,8 +524,8 @@ class TestFlagUnipotencyOracle:
                         linalg.mat_mul(linalg.mat_inverse(m1),
                                        linalg.mat_inverse(m2)))
                     w = rep.invariant_coords()
-                    assert _block_unipotent_oracle(u, w, d), (d, kk)
-                    assert not _block_unipotent_oracle(m1, w, d), (d, kk)
+                    assert in_flag_group(u, w, True), (d, kk)
+                    assert not in_flag_group(m1, w, True), (d, kk)
                     gens = [(r, s) for r in range(2, p)
                             for s in range(r + 1, p + 1)]
                     for _ in range(3):
@@ -508,7 +537,7 @@ class TestFlagUnipotencyOracle:
                             g = x if g is None else linalg.mat_mul(g, x)
                         conj = linalg.mat_mul(
                             g, linalg.mat_mul(u, linalg.mat_inverse(g)))
-                        assert _block_unipotent_oracle(conj, w, d), (d, kk)
+                        assert in_flag_group(conj, w, True), (d, kk)
                         checked += 1
                     assert flag_unipotency_check(d, kk)
         assert checked == 3 * 17
