@@ -333,15 +333,14 @@ class TestFlagGroup:
                     seen.add((unipotent, got))
             checked += 1
         assert checked == 53
-        # both answers occur in both modes (A_12 is not in P(F))
+        # both answers occur in both modes
         assert seen == {(False, False), (False, True),
                         (True, False), (True, True)}
 
     # each condition of the predicate, with the one cell of c^-1 u c whose
     # perturbation breaks that condition only, and the mode that reads it
-    @pytest.mark.parametrize("condition", ["m w in span(w)", "row n",
-                                           "m w = w", "middle block",
-                                           "(n, n)"])
+    @pytest.mark.parametrize("condition", ["w_line", "row_n", "fixes_w",
+                                           "middle_block", "corner_n"])
     @pytest.mark.parametrize("d, k", [(3, (1, 1, 1, 1)), (4, (1, 1, 1, 1, 1)),
                                       (5, (1, 2, 3, 4, 2)),
                                       (5, (1, 1, 1, 1, 1, 1))])
@@ -352,11 +351,11 @@ class TestFlagGroup:
         n = len(u)
         assert spectral._in_flag_group(u, w, True)
         i, j, unipotent = {
-            "m w in span(w)": (1, 0, False),
-            "row n": (n - 1, 1, False),
-            "m w = w": (0, 0, True),
-            "middle block": (1, 1, True),
-            "(n, n)": (n - 1, n - 1, True),
+            "w_line": (1, 0, False),             # m w in span(w)
+            "row_n": (n - 1, 1, False),          # row n off the middle block
+            "fixes_w": (0, 0, True),             # m w = w
+            "middle_block": (1, 1, True),        # identity middle block
+            "corner_n": (n - 1, n - 1, True),    # entry (n, n) is 1
         }[condition]
         b = [list(row) for row in in_w_basis(u, w)]
         b[i][j] = b[i][j] + CycloNum.one(d)
