@@ -21,6 +21,7 @@ Usage sketch:
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import sys
@@ -55,6 +56,7 @@ COMMON_FLAGS = ("out", "config")
 MAX_N = 8              # n = strands - 1 for every command but sweep
 MAX_SWEEP_N = 5        # the largest n a sweep may request
 MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); --d 6 --n 5 (5833) takes ~27 s
+MAX_CONFIG_BYTES = 65536  # a --config file; read no further than this
 
 
 @dataclass
@@ -211,9 +213,6 @@ def _cmd_classify(config: JobConfig) -> dict:
 
 def _cmd_signature(config: JobConfig) -> dict:
     spec = _cover_spec(config)
-    if hermitian.is_degenerate(spec.d, spec.k):
-        raise ValidationError(
-            f"form is degenerate at d={spec.d}, k={spec.k}: no signatures")
     if config.f is not None:
         p, q = hermitian.signature(spec.d, spec.k, config.f)
         sigs = [{"f": config.f, "p": p, "q": q}]
@@ -307,10 +306,17 @@ def _parse_k(text: str) -> tuple:
 def _read_config_file(path: str) -> dict:
     out = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ValidationError(f"cannot read --config '{path}': {exc.strerror}")
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ValidationError(
+            f"--config '{path}' exceeds the budget "
+            f"MAX_CONFIG_BYTES={MAX_CONFIG_BYTES}")
+    try:
+        # the lines of a text-mode read: \r\n and \r end a line as \n does
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
     except UnicodeDecodeError:
         raise ValidationError(f"--config '{path}' is not UTF-8 text")
     for raw in lines:

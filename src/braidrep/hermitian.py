@@ -220,13 +220,15 @@ def signature(d: int, k: tuple, f: int) -> tuple:
     and Hodge theory"): with n = len(k) - 1 and
     S = (sum_i (f k_i mod d) + (-f sum k mod d)) / d, (p, q) = (n + 1 - S, S - 1).
     The tests check this against the eigenvalues of the specialized form.
+    A degenerate form (d | sum(k)) has no signature at any embedding, so it
+    is refused before f is read.
     """
     k = tuple(k)
     check_spec_weights(d, k)
-    check_embedding(d, f)
-    if (sum(k) * f) % d == 0:
+    if sum(k) % d == 0:
         raise ValidationError(
-            f"form is degenerate at d={d}, k={k}: signature undefined")
+            f"form is degenerate at d={d}, k={k}: no signatures")
+    check_embedding(d, f)
     total = sum(f * ki % d for ki in k) + (-f * sum(k)) % d
     s, rem = divmod(total, d)
     p, q = len(k) - s, s - 1

@@ -4,10 +4,12 @@ The tests compare the library against these; the library never calls them.
 The module name has no ``test_`` prefix, so pytest does not collect it.
 """
 
-from braidrep import linalg, spectral
+import itertools
+
+from braidrep import gassner, hermitian, linalg, spectral
 from braidrep.artin import FreeWord, artin_apply, derive_unreduced_matrix
 from braidrep.braid import BraidWord, full_twist, pure_generator
-from braidrep.cyclo import CycloNum, specialize_poly
+from braidrep.cyclo import CycloNum, specialize_poly, units
 from braidrep.gassner import evaluate_word
 from braidrep.laurent import LaurentPoly, RationalFunction
 
@@ -288,3 +290,26 @@ def commutator_in_w_basis(d: int, k: tuple) -> tuple:
     """The commutator written in the basis (w, eps_2, ..., eps_{p-1})."""
     u = spectral.unipotent_commutator(d, k)
     return in_w_basis(u, spectral.specialize_rep(d, k).invariant_coords())
+
+
+def c07_corpus(max_d: int = 6):
+    """The C07 corpus: every degenerate block (d, k) with d <= max_d, p =
+    len(k) in 3..5 and d | sum(k), with its extensions k + (e,), one per
+    unit e mod d.  Yields (d, k, extensions); at max_d = 6 that is 301
+    blocks and 1137 extensions, at max_d = 4 it is 53 extensions."""
+    for d in range(2, max_d + 1):
+        for p in (3, 4, 5):
+            for k in itertools.product(units(d), repeat=p):
+                if sum(k) % d == 0:
+                    yield d, k, tuple(k + (e,) for e in units(d))
+
+
+# -- caches ---------------------------------------------------------------------
+
+def start_cold():
+    """Empty every symbolic cache, so that the next command computes from
+    scratch and no cached value hides a call."""
+    hermitian._cleared_form.cache_clear()
+    hermitian.form_determinant.cache_clear()
+    gassner._generator_cache.clear()
+    spectral._symbolic_pure.clear()

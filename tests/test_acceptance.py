@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance and bound is pinned here, not configurable.
 """
 
-import itertools
+import hashlib
+import json
 import random
+import shlex
 import time
 from fractions import Fraction
 from math import gcd
@@ -22,7 +24,6 @@ from braidrep.hermitian import (
 )
 from braidrep.laurent import LaurentPoly
 from braidrep.spectral import (
-    degeneracy_agreement,
     flag_unipotency_check,
     pigeonhole_blocks,
     unipotent_commutator,
@@ -31,11 +32,13 @@ from braidrep.topology import CoverSpec, dm_report, genus_riemann_hurwitz, \
     homology_decomposition, kernel_ranks
 from oracles import (
     all_unit_subintervals,
+    c07_corpus,
     central_scalar_matches,
     commutator_in_w_basis,
     oracle_equivalence,
     random_pure_word,
     scalar_matrix_check,
+    start_cold,
 )
 
 
@@ -128,48 +131,66 @@ def test_c05_central_scalars():
               "t1...t_{n+1} on 100 seeded specializations (d <= 8)")
 
 
+def _run_cli(command):
+    """(exit code, output text) of one command line through cli.run."""
+    return run(config_from_args(build_parser().parse_args(shlex.split(command))))
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_c06_degeneracy_triple_agreement():
+    # the exhaustive corpus d <= 6, n <= 5, every coprime k, as the CLI
+    # prints it: its bytes pin span_dim, fixed_space_dim and the genus of
+    # every row, and each row carries the three-way degeneracy agreement
     start = time.monotonic()
-    count = 0
-    for d in range(2, 7):
-        units = _units(d)
-        for n in range(1, 6):
-            for k in itertools.product(units, repeat=n + 1):
-                report = degeneracy_agreement(d, k)
-                assert report["agree"], report
-                count += 1
+    code, text = _run_cli("sweep --d 6 --n 5")
     elapsed = time.monotonic() - start
+    assert code == 0, text
+    assert len(text.encode()) == 945810
+    assert _sha256(text) == \
+        "27f9c9dbd3848ccf5b75252691c0bdd08ac4e80990d46a8bafec3e05f75ff383"
+    rows = [json.loads(line) for line in text.splitlines()]
+    degenerate = sum(row["degenerate"] for row in rows)
+    assert (len(rows), degenerate) == (5833, 1209)
+    assert all(row["reducibility_match"] for row in rows)
+    assert all(row["genus_match"] for row in rows)
+    hit = [row for row in rows
+           if row["spec"] == {"n": 3, "d": 6, "k": [1, 5, 5, 1]}]
+    assert len(hit) == 1 and hit[0]["degenerate"] is True
     _announce(6, elapsed < 300.0,
-              f"is_degenerate = fixed-vector = span-deficiency on {count} "
-              f"specs (d <= 6, n <= 5, exhaustive; {elapsed:.0f}s < 300s; "
-              "span leg applies for n >= 2)")
+              f"is_degenerate = fixed-vector = span-deficiency on "
+              f"{len(rows)} specs, {degenerate} degenerate (sweep --d 6 "
+              f"--n 5, byte-identical; {elapsed:.0f}s < 300s; span leg "
+              "applies for n >= 2)")
 
 
-def test_c07_unipotent_structure():
+def test_c07_unipotent_structure(monkeypatch):
     # every (p <= 5, d <= 6, k) with d | sum(k): nontrivial 2-step unipotent
     # commutator, plus the flag check with one extra strand appended in every
-    # coprime way
+    # coprime way, with no CycloNum inverse anywhere on either path
+    def refuse(self):
+        raise AssertionError("CycloNum.inverse called")
+
     u_checked = 0
     flag_checked = 0
-    for d in range(2, 7):
-        units = _units(d)
-        for p in (3, 4, 5):
-            for k in itertools.product(units, repeat=p):
-                if sum(k) % d:
-                    continue
-                unipotent_commutator(d, k)  # raises unless u != 1, (u-1)^2 = 0
-                u_checked += 1
-                for extra in units:
-                    assert flag_unipotency_check(d, k + (extra,), seed=0), \
-                        (d, k, extra)
-                    flag_checked += 1
+    with monkeypatch.context() as patch:
+        patch.setattr(CycloNum, "inverse", refuse)
+        for d, k, extensions in c07_corpus():
+            unipotent_commutator(d, k)  # raises unless u != 1, (u-1)^2 = 0
+            u_checked += 1
+            for kk in extensions:
+                assert flag_unipotency_check(d, kk, seed=0), (d, kk)
+                flag_checked += 1
+    assert (u_checked, flag_checked) == (301, 1137)
     b = commutator_in_w_basis(3, (1, 1, 1))
     w = CycloNum.omega_power(3, 1)
     assert b[0][1] == w * (CycloNum.one(3) - w)
     _announce(7, True,
               f"unipotent commutators on {u_checked} degenerate blocks, flag "
-              f"unipotency on {flag_checked} extensions, off-diagonal entry "
-              "= w(1-w) at p=3, d=3")
+              f"unipotency on {flag_checked} extensions, no CycloNum inverse, "
+              "off-diagonal entry = w(1-w) at p=3, d=3")
 
 
 def test_c08_paper_numerics():
@@ -256,32 +277,63 @@ def test_c11_pigeonhole_blocks():
               "exhaustive-subinterval oracle (d <= 6, n >= 2d)")
 
 
+# Every command whose stdout is pinned, with the sha256 of that stdout.  A
+# digest may only change together with a documented change of the output.
+DETERMINISM_TABLE = [
+    ("form --n 3",
+     "03fde1b50ff4c64bb856a690775057eb855fb5540a8905fff0218cb0ad407745"),
+    ("form --n 4",
+     "c191cf1a31c0ecb6f618ea0b2e54918446531d99f6a2215ed45791151d7212fb"),
+    ("matrix --n 3 --word 'A 1 4' --basis unreduced",
+     "41d2e7d26c1710153d1c62cb708da61aa8981ebb09c33bfb8cfdb8f93a2693cc"),
+    ("matrix --n 3 --word 'T 1 4' --basis unreduced",
+     "dff051dcc8aae579dfaf9bcb547003d2973501b92f278f945ed8f2fd98454e0e"),
+    ("verify --n 3 --word 'T 1 4 T 1 4'",
+     "e9f00756f31900962372f401992dc9295216de029600ccc5edda8685f6ed53d6"),
+    ("specialize --d 5 --k 1,2,3",
+     "38ab324ab4091031ca740370bcf90d3b3dde4e4bdec509d88a697e0055ea9883"),
+    ("specialize --d 12 --k 1,5,7,11",
+     "6cb90e6b6f7336c1d49df226ad9f17e619a2eccd933d6a4b871a7a3d5fd67a5a"),
+    ("spectral --d 2 --k 1,1,1,1,1,1",
+     "faeca57d1b6fc5b5a714b3f221bf9c0ac04099811cfaf6340c2f0cb057e4c7b8"),
+    ("spectral --d 3 --k 1,1,1",
+     "8b32d908ffa0c6aac7bf78fd4e9c85e52c21aaf3eec2fd11e29e8f66c29ca76f"),
+    ("spectral --d 3 --k 1,1,1,1,1,1,1",
+     "8bb178dc33673ffc606c765c06a1b8b561b7158843bf21258146e63fb33760e2"),
+    ("spectral --d 128 --k 1,3,5,7,9,11,13,15,17",
+     "ebcdf86317ed4c47fe6127dbfcccfbb8672b3a5fcbeabb5339353ebc608b1528"),
+    ("decompose --d 4 --k 1,1,3",
+     "68f4dac9ec36dd75c9b136633780f70efd1d52a43f38deb0501ab0a255e54591"),
+    ("decompose --d 12 --k 1,5,7,11",
+     "efaf06c1baca86d4081bc0dea4ffad8a39c92fd1dd8ebbf031f085420d8b7f40"),
+    ("decompose --d 18 --k 1,1,1,1",
+     "86035a4d46d00581a2f8117b804a6c2ce483346da020155fc02771dbcbf4f661"),
+    ("dm --d 18 --k 1,1,1,1 --f 7",
+     "2ea35fe2a5b8adb7df2d11b1e357b837e46207b136d3ff80b4fb1d71e0ed28c4"),
+    ("classify --d 5 --k 1,2,3,4,1",
+     "be93fd74060440603646dfe9b8ed4ad30f449b4512fcf75220be8dd4f54968c8"),
+    ("classify --d 18 --k 1,1,1,1",
+     "a20ce944dcc5fee8770317f6e4c2148144514aa3ea9a685e27be3f033518e96b"),
+    ("signature --d 18 --k 1,1,1,1",
+     "7eee0351543e65de3c102cb32a2cead181319164c8ab125c080f063fb8079390"),
+    ("sweep --d 3 --n 2",
+     "1f05f3727f1d7ac0c744aa634509ecb9950d1a8bb9eb5a465be728b0b2984817"),
+    ("sweep --d 4 --n 3",
+     "bf924fdfe3a22c4e7e6338a4310b680d5187d489a688b19bba66f6af38378899"),
+]
+
+
 def test_c12_determinism():
-    battery = [
-        ["form", "--n", "3"],
-        ["matrix", "--n", "3", "--word", "A 1 4", "--basis", "unreduced"],
-        ["verify", "--n", "3", "--word", "T 1 4 T 1 4"],
-        ["specialize", "--d", "5", "--k", "1,2,3"],
-        ["spectral", "--d", "3", "--k", "1,1,1,1,1,1,1"],
-        ["decompose", "--d", "18", "--k", "1,1,1,1"],
-        ["dm", "--d", "18", "--k", "1,1,1,1", "--f", "7"],
-        ["classify", "--d", "18", "--k", "1,1,1,1"],
-        ["signature", "--d", "18", "--k", "1,1,1,1"],
-        ["sweep", "--d", "4", "--n", "3"],
-    ]
-    parser = build_parser()
-
-    def run_all():
-        outputs = []
-        for argv in battery:
-            config = config_from_args(parser.parse_args(argv))
-            code, text = run(config)
-            assert code == 0, (argv, text)
-            outputs.append(text)
-        return "".join(outputs)
-
-    first = run_all()
-    second = run_all()
-    _announce(12, first == second,
-              f"two full battery runs are byte-identical "
-              f"({len(first)} bytes)")
+    # the table twice: each command first from cold caches, then all warm
+    size = 0
+    for cold in (True, False):
+        for command, digest in DETERMINISM_TABLE:
+            if cold:
+                start_cold()
+            code, text = _run_cli(command)
+            assert code == 0, (command, text)
+            assert _sha256(text) == digest, (command, cold)
+            size += len(text.encode())
+    _announce(12, True,
+              f"{len(DETERMINISM_TABLE)} commands match their pinned sha256, "
+              f"cold and warm ({size // 2} bytes a run)")

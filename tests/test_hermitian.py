@@ -276,8 +276,11 @@ class TestSignature:
             assert p + q == strands - 1
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no signatures"):
             signature(3, (1, 1, 1), 1)
+        # a degenerate form has no signature at any f, so f is not read
+        with pytest.raises(ValidationError, match="no signatures"):
+            signature(3, (1, 1, 1), 0)
 
     def test_non_coprime_f_rejected(self):
         with pytest.raises(ValidationError):

@@ -14,7 +14,6 @@ from braidrep.gassner import evaluate_word
 from braidrep.hermitian import is_degenerate, specialize_form
 from braidrep.spectral import (
     burnside_irreducibility,
-    degeneracy_agreement,
     fixed_vector_space_dim,
     flag_unipotency_check,
     pigeonhole_blocks,
@@ -24,6 +23,7 @@ from braidrep.spectral import (
 from oracles import (
     all_unit_subintervals,
     burau_matches_gassner_at_ones,
+    c07_corpus,
     central_scalar_matches,
     commutator_in_w_basis,
     generator_matrices,
@@ -300,18 +300,6 @@ class TestFlagUnipotency:
         assert flag_unipotency_check(d, k) is False
 
 
-def _c07_extensions(max_d: int = 6):
-    """Every (d, k + (e,)) of the C07 slice with d <= max_d: p = len(k) in
-    3..5, d | sum(k), e any unit."""
-    for d in range(2, max_d + 1):
-        units = coprime_units(d)
-        for p in (3, 4, 5):
-            for k in itertools.product(units, repeat=p):
-                if sum(k) % d == 0:
-                    for e in units:
-                        yield d, k + (e,)
-
-
 class TestFlagGroup:
     """spectral._in_flag_group, read from the entries of m, against the
     dense reference c^-1 m c of oracles.in_flag_group."""
@@ -319,19 +307,20 @@ class TestFlagGroup:
     def test_matches_dense_reference(self):
         checked = 0
         seen = set()
-        for d, k in _c07_extensions(4):
-            p = len(k) - 1
-            rep = specialize_rep(d, k)
-            w = rep.invariant_coords()
-            mats = [spectral._commutator(rep, p)]
-            mats += list(generator_matrices(rep).values())
-            for m in mats:
-                for unipotent in (False, True):
-                    got = spectral._in_flag_group(m, w, unipotent)
-                    assert got == in_flag_group(m, w, unipotent), \
-                        (d, k, unipotent)
-                    seen.add((unipotent, got))
-            checked += 1
+        for d, _, extensions in c07_corpus(4):
+            for k in extensions:
+                p = len(k) - 1
+                rep = specialize_rep(d, k)
+                w = rep.invariant_coords()
+                mats = [spectral._commutator(rep, p)]
+                mats += list(generator_matrices(rep).values())
+                for m in mats:
+                    for unipotent in (False, True):
+                        got = spectral._in_flag_group(m, w, unipotent)
+                        assert got == in_flag_group(m, w, unipotent), \
+                            (d, k, unipotent)
+                        seen.add((unipotent, got))
+                checked += 1
         assert checked == 53
         # both answers occur in both modes
         assert seen == {(False, False), (False, True),
@@ -369,19 +358,8 @@ class TestFlagGroup:
             assert in_flag_group(m, w, False)
             assert spectral._in_flag_group(m, w, False)
 
-    def test_flag_check_takes_no_inverse(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("CycloNum.inverse called by the flag check")
 
-        monkeypatch.setattr(CycloNum, "inverse", refuse)
-        checked = 0
-        for d, k in _c07_extensions():
-            assert flag_unipotency_check(d, k), (d, k)
-            checked += 1
-        assert checked == 1137
-
-
-class TestRankOneBasis:
+class TestSymbolicInverses:
     def test_symbolic_inverses(self):
         # A_rs A_rs^-1 = 1 and Delta'^2 (Delta'^2)^-1 = 1, both inverses
         # specialized from the inverse words
@@ -435,13 +413,13 @@ def _seeded_degenerate_reps(seed):
 class TestRankOneCommutator:
     def test_matches_dense_on_c07_extensions(self):
         checked = 0
-        for d, kk in _c07_extensions(4):
-            k = kk[:-1]
+        for d, k, extensions in c07_corpus(4):
             p = len(k)
-            for rep in (specialize_rep(d, k), specialize_rep(d, kk)):
-                assert spectral._commutator(rep, p) == \
-                    _dense_commutator(rep, p), (d, rep.k)
-                checked += 1
+            for kk in extensions:
+                for rep in (specialize_rep(d, k), specialize_rep(d, kk)):
+                    assert spectral._commutator(rep, p) == \
+                        _dense_commutator(rep, p), (d, rep.k)
+                    checked += 1
         assert checked == 2 * 53
 
     def test_matches_dense_on_seeded_reps(self):
@@ -787,23 +765,6 @@ class TestFixedVectors:
             assert any(not x.is_zero() for x in w)
             for m in generator_matrices(rep).values():
                 assert linalg.mat_vec(m, w) == w
-
-
-class TestAgreement:
-    def test_triple_agreement_small_exhaustive(self):
-        for d in (2, 3, 4):
-            units = coprime_units(d)
-            for strands in (2, 3, 4):
-                def tuples(i):
-                    if i == 0:
-                        yield ()
-                        return
-                    for rest in tuples(i - 1):
-                        for u in units:
-                            yield rest + (u,)
-                for k in tuples(strands):
-                    report = degeneracy_agreement(d, k)
-                    assert report["agree"], report
 
 
 class TestBurauConsistency:
