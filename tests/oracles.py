@@ -1,10 +1,13 @@
-"""Independence oracles: second routes to what the library computes.
+"""Independence oracles: second routes to what the library computes, and
+the pinned stdout digests of the CLI.
 
 The tests compare the library against these; the library never calls them.
 The module name has no ``test_`` prefix, so pytest does not collect it.
 """
 
+import functools
 import itertools
+from unittest import mock
 
 from braidrep import gassner, hermitian, linalg, spectral
 from braidrep.artin import FreeWord, artin_apply, derive_unreduced_matrix
@@ -304,6 +307,29 @@ def c07_corpus(max_d: int = 6):
                     yield d, k, tuple(k + (e,) for e in units(d))
 
 
+@functools.cache
+def c07_pass() -> tuple:
+    """One run over the C07 corpus with CycloNum.inverse made to raise:
+    unipotent_commutator on every block (it raises unless u != 1 and
+    (u - 1)^2 = 0) and flag_unipotency_check on every extension.  Returns
+    (blocks, extensions, the extensions whose flag check failed).  Cached,
+    so the corpus runs once however many tests read it."""
+    def refuse(self):
+        raise AssertionError("CycloNum.inverse called")
+
+    blocks = extensions = 0
+    failed = []
+    with mock.patch.object(CycloNum, "inverse", refuse):
+        for d, k, ks in c07_corpus():
+            spectral.unipotent_commutator(d, k)
+            blocks += 1
+            for kk in ks:
+                if not spectral.flag_unipotency_check(d, kk, seed=0):
+                    failed.append((d, kk))
+                extensions += 1
+    return blocks, extensions, tuple(failed)
+
+
 # -- caches ---------------------------------------------------------------------
 
 def start_cold():
@@ -313,3 +339,51 @@ def start_cold():
     hermitian.form_determinant.cache_clear()
     gassner._generator_cache.clear()
     spectral._symbolic_pure.clear()
+
+
+# -- pinned output --------------------------------------------------------------
+
+# Every command whose stdout is pinned, with the sha256 of that stdout.  A
+# digest may only change together with a documented change of the output.
+DETERMINISM_TABLE = [
+    ("form --n 3",
+     "03fde1b50ff4c64bb856a690775057eb855fb5540a8905fff0218cb0ad407745"),
+    ("form --n 4",
+     "c191cf1a31c0ecb6f618ea0b2e54918446531d99f6a2215ed45791151d7212fb"),
+    ("matrix --n 3 --word 'A 1 4' --basis unreduced",
+     "41d2e7d26c1710153d1c62cb708da61aa8981ebb09c33bfb8cfdb8f93a2693cc"),
+    ("matrix --n 3 --word 'T 1 4' --basis unreduced",
+     "dff051dcc8aae579dfaf9bcb547003d2973501b92f278f945ed8f2fd98454e0e"),
+    ("verify --n 3 --word 'T 1 4 T 1 4'",
+     "e9f00756f31900962372f401992dc9295216de029600ccc5edda8685f6ed53d6"),
+    ("specialize --d 5 --k 1,2,3",
+     "38ab324ab4091031ca740370bcf90d3b3dde4e4bdec509d88a697e0055ea9883"),
+    ("specialize --d 12 --k 1,5,7,11",
+     "6cb90e6b6f7336c1d49df226ad9f17e619a2eccd933d6a4b871a7a3d5fd67a5a"),
+    ("spectral --d 2 --k 1,1,1,1,1,1",
+     "faeca57d1b6fc5b5a714b3f221bf9c0ac04099811cfaf6340c2f0cb057e4c7b8"),
+    ("spectral --d 3 --k 1,1,1",
+     "8b32d908ffa0c6aac7bf78fd4e9c85e52c21aaf3eec2fd11e29e8f66c29ca76f"),
+    ("spectral --d 3 --k 1,1,1,1,1,1,1",
+     "8bb178dc33673ffc606c765c06a1b8b561b7158843bf21258146e63fb33760e2"),
+    ("spectral --d 128 --k 1,3,5,7,9,11,13,15,17",
+     "ebcdf86317ed4c47fe6127dbfcccfbb8672b3a5fcbeabb5339353ebc608b1528"),
+    ("decompose --d 4 --k 1,1,3",
+     "68f4dac9ec36dd75c9b136633780f70efd1d52a43f38deb0501ab0a255e54591"),
+    ("decompose --d 12 --k 1,5,7,11",
+     "efaf06c1baca86d4081bc0dea4ffad8a39c92fd1dd8ebbf031f085420d8b7f40"),
+    ("decompose --d 18 --k 1,1,1,1",
+     "86035a4d46d00581a2f8117b804a6c2ce483346da020155fc02771dbcbf4f661"),
+    ("dm --d 18 --k 1,1,1,1 --f 7",
+     "2ea35fe2a5b8adb7df2d11b1e357b837e46207b136d3ff80b4fb1d71e0ed28c4"),
+    ("classify --d 5 --k 1,2,3,4,1",
+     "be93fd74060440603646dfe9b8ed4ad30f449b4512fcf75220be8dd4f54968c8"),
+    ("classify --d 18 --k 1,1,1,1",
+     "a20ce944dcc5fee8770317f6e4c2148144514aa3ea9a685e27be3f033518e96b"),
+    ("signature --d 18 --k 1,1,1,1",
+     "7eee0351543e65de3c102cb32a2cead181319164c8ab125c080f063fb8079390"),
+    ("sweep --d 3 --n 2",
+     "1f05f3727f1d7ac0c744aa634509ecb9950d1a8bb9eb5a465be728b0b2984817"),
+    ("sweep --d 4 --n 3",
+     "bf924fdfe3a22c4e7e6338a4310b680d5187d489a688b19bba66f6af38378899"),
+]

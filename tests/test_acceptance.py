@@ -23,16 +23,13 @@ from braidrep.hermitian import (
     verify_invariance,
 )
 from braidrep.laurent import LaurentPoly
-from braidrep.spectral import (
-    flag_unipotency_check,
-    pigeonhole_blocks,
-    unipotent_commutator,
-)
+from braidrep.spectral import pigeonhole_blocks
 from braidrep.topology import CoverSpec, dm_report, genus_riemann_hurwitz, \
     homology_decomposition, kernel_ranks
 from oracles import (
+    DETERMINISM_TABLE,
     all_unit_subintervals,
-    c07_corpus,
+    c07_pass,
     central_scalar_matches,
     commutator_in_w_basis,
     oracle_equivalence,
@@ -166,23 +163,12 @@ def test_c06_degeneracy_triple_agreement():
               "applies for n >= 2)")
 
 
-def test_c07_unipotent_structure(monkeypatch):
+def test_c07_unipotent_structure():
     # every (p <= 5, d <= 6, k) with d | sum(k): nontrivial 2-step unipotent
     # commutator, plus the flag check with one extra strand appended in every
     # coprime way, with no CycloNum inverse anywhere on either path
-    def refuse(self):
-        raise AssertionError("CycloNum.inverse called")
-
-    u_checked = 0
-    flag_checked = 0
-    with monkeypatch.context() as patch:
-        patch.setattr(CycloNum, "inverse", refuse)
-        for d, k, extensions in c07_corpus():
-            unipotent_commutator(d, k)  # raises unless u != 1, (u-1)^2 = 0
-            u_checked += 1
-            for kk in extensions:
-                assert flag_unipotency_check(d, kk, seed=0), (d, kk)
-                flag_checked += 1
+    u_checked, flag_checked, failed = c07_pass()
+    assert failed == ()
     assert (u_checked, flag_checked) == (301, 1137)
     b = commutator_in_w_basis(3, (1, 1, 1))
     w = CycloNum.omega_power(3, 1)
@@ -275,52 +261,6 @@ def test_c11_pigeonhole_blocks():
     _announce(11, True,
               "200 seeded pigeonhole block pairs validated against the "
               "exhaustive-subinterval oracle (d <= 6, n >= 2d)")
-
-
-# Every command whose stdout is pinned, with the sha256 of that stdout.  A
-# digest may only change together with a documented change of the output.
-DETERMINISM_TABLE = [
-    ("form --n 3",
-     "03fde1b50ff4c64bb856a690775057eb855fb5540a8905fff0218cb0ad407745"),
-    ("form --n 4",
-     "c191cf1a31c0ecb6f618ea0b2e54918446531d99f6a2215ed45791151d7212fb"),
-    ("matrix --n 3 --word 'A 1 4' --basis unreduced",
-     "41d2e7d26c1710153d1c62cb708da61aa8981ebb09c33bfb8cfdb8f93a2693cc"),
-    ("matrix --n 3 --word 'T 1 4' --basis unreduced",
-     "dff051dcc8aae579dfaf9bcb547003d2973501b92f278f945ed8f2fd98454e0e"),
-    ("verify --n 3 --word 'T 1 4 T 1 4'",
-     "e9f00756f31900962372f401992dc9295216de029600ccc5edda8685f6ed53d6"),
-    ("specialize --d 5 --k 1,2,3",
-     "38ab324ab4091031ca740370bcf90d3b3dde4e4bdec509d88a697e0055ea9883"),
-    ("specialize --d 12 --k 1,5,7,11",
-     "6cb90e6b6f7336c1d49df226ad9f17e619a2eccd933d6a4b871a7a3d5fd67a5a"),
-    ("spectral --d 2 --k 1,1,1,1,1,1",
-     "faeca57d1b6fc5b5a714b3f221bf9c0ac04099811cfaf6340c2f0cb057e4c7b8"),
-    ("spectral --d 3 --k 1,1,1",
-     "8b32d908ffa0c6aac7bf78fd4e9c85e52c21aaf3eec2fd11e29e8f66c29ca76f"),
-    ("spectral --d 3 --k 1,1,1,1,1,1,1",
-     "8bb178dc33673ffc606c765c06a1b8b561b7158843bf21258146e63fb33760e2"),
-    ("spectral --d 128 --k 1,3,5,7,9,11,13,15,17",
-     "ebcdf86317ed4c47fe6127dbfcccfbb8672b3a5fcbeabb5339353ebc608b1528"),
-    ("decompose --d 4 --k 1,1,3",
-     "68f4dac9ec36dd75c9b136633780f70efd1d52a43f38deb0501ab0a255e54591"),
-    ("decompose --d 12 --k 1,5,7,11",
-     "efaf06c1baca86d4081bc0dea4ffad8a39c92fd1dd8ebbf031f085420d8b7f40"),
-    ("decompose --d 18 --k 1,1,1,1",
-     "86035a4d46d00581a2f8117b804a6c2ce483346da020155fc02771dbcbf4f661"),
-    ("dm --d 18 --k 1,1,1,1 --f 7",
-     "2ea35fe2a5b8adb7df2d11b1e357b837e46207b136d3ff80b4fb1d71e0ed28c4"),
-    ("classify --d 5 --k 1,2,3,4,1",
-     "be93fd74060440603646dfe9b8ed4ad30f449b4512fcf75220be8dd4f54968c8"),
-    ("classify --d 18 --k 1,1,1,1",
-     "a20ce944dcc5fee8770317f6e4c2148144514aa3ea9a685e27be3f033518e96b"),
-    ("signature --d 18 --k 1,1,1,1",
-     "7eee0351543e65de3c102cb32a2cead181319164c8ab125c080f063fb8079390"),
-    ("sweep --d 3 --n 2",
-     "1f05f3727f1d7ac0c744aa634509ecb9950d1a8bb9eb5a465be728b0b2984817"),
-    ("sweep --d 4 --n 3",
-     "bf924fdfe3a22c4e7e6338a4310b680d5187d489a688b19bba66f6af38378899"),
-]
 
 
 def test_c12_determinism():

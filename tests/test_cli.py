@@ -1,13 +1,16 @@
-"""CLI dispatch, JSON schema round trips, exit codes, budgets, fuzzing.
+"""CLI dispatch, JSON schema round trips, exit codes, determinism, budgets,
+fuzzing.
 
-The pinned stdout digests and the cold/warm determinism check are
-acceptance criterion C12 (tests/test_acceptance.py)."""
+The stdout digests live in oracles.DETERMINISM_TABLE; acceptance criterion
+C12 (tests/test_acceptance.py) checks all of them, cold and warm."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import re
+import shlex
 import time
 from importlib import resources
 from pathlib import Path
@@ -34,7 +37,7 @@ from braidrep.cli import (
 from braidrep.braid import MAX_WORD_LENGTH
 from braidrep.cyclo import MAX_D
 from braidrep.errors import ValidationError
-from oracles import start_cold
+from oracles import DETERMINISM_TABLE, start_cold
 
 
 def _schema():
@@ -170,10 +173,32 @@ class TestSweep:
             row_validator.validate(row)
             assert row["genus_match"] and row["reducibility_match"]
 
+    def test_d4_n4_all_rows_consistent(self):
+        code, text = run_cli(["sweep", "--d", "4", "--n", "4"])
+        assert code == 0
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert len(rows) == 124
+        assert all(r["genus_match"] for r in rows)
+        assert all(r["reducibility_match"] for r in rows)
+
+    def test_degenerate_case_present_d6(self):
+        code, text = run_cli(["sweep", "--d", "6", "--n", "3"])
+        assert code == 0
+        rows = [json.loads(line) for line in text.splitlines()]
+        hit = [r for r in rows
+               if r["spec"] == {"n": 3, "d": 6, "k": [1, 5, 5, 1]}]
+        assert len(hit) == 1
+        assert hit[0]["degenerate"] is True
+
     def test_empty_range(self):
         code, text = run_cli(["sweep", "--d", "1", "--n", "0"])
         assert code == 0
         assert text == ""
+
+    def test_sorted_deterministic(self):
+        _, a = run_cli(["sweep", "--d", "3", "--n", "2"])
+        _, b = run_cli(["sweep", "--d", "3", "--n", "2"])
+        assert a == b
 
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "--n", "2"], "--d"),
@@ -621,6 +646,50 @@ class TestConfigFile:
         doc = check_doc(capsys.readouterr().err)
         assert doc["kind"] == "validation"
         assert "--config" in doc["error"]
+
+
+class TestDeterminism:
+    BATTERY = [
+        ["form", "--n", "3"],
+        ["dm", "--d", "18", "--k", "1,1,1,1", "--f", "7"],
+        ["classify", "--d", "5", "--k", "1,2,3,4,1"],
+        ["signature", "--d", "18", "--k", "1,1,1,1"],
+        ["spectral", "--d", "3", "--k", "1,1,1"],
+        ["decompose", "--d", "4", "--k", "1,1,3"],
+        ["sweep", "--d", "3", "--n", "2"],
+    ]
+
+    def test_byte_identical_reruns(self):
+        first = [run_cli(argv) for argv in self.BATTERY]
+        second = [run_cli(argv) for argv in self.BATTERY]
+        assert first == second
+        for code, _ in first:
+            assert code == 0
+
+
+class TestGoldenDigests:
+    """The sha256 of what main writes to stdout, for ten commands of
+    oracles.DETERMINISM_TABLE, against the digest the table pins."""
+
+    GOLDEN = [
+        "spectral --d 2 --k 1,1,1,1,1,1",
+        "spectral --d 3 --k 1,1,1,1,1,1,1",
+        "spectral --d 128 --k 1,3,5,7,9,11,13,15,17",
+        "specialize --d 12 --k 1,5,7,11",
+        "form --n 4",
+        "matrix --n 3 --word 'T 1 4' --basis unreduced",
+        "classify --d 5 --k 1,2,3,4,1",
+        "signature --d 18 --k 1,1,1,1",
+        "decompose --d 12 --k 1,5,7,11",
+        "sweep --d 4 --n 3",
+    ]
+
+    @pytest.mark.parametrize("command", GOLDEN, ids=GOLDEN)
+    def test_stdout_digest(self, command, capsys):
+        assert main(shlex.split(command)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            dict(DETERMINISM_TABLE)[command]
 
 
 # -- fuzzing --------------------------------------------------------------------

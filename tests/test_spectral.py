@@ -14,6 +14,7 @@ from braidrep.gassner import evaluate_word
 from braidrep.hermitian import is_degenerate, specialize_form
 from braidrep.spectral import (
     burnside_irreducibility,
+    degeneracy_agreement,
     fixed_vector_space_dim,
     flag_unipotency_check,
     pigeonhole_blocks,
@@ -24,6 +25,7 @@ from oracles import (
     all_unit_subintervals,
     burau_matches_gassner_at_ones,
     c07_corpus,
+    c07_pass,
     central_scalar_matches,
     commutator_in_w_basis,
     generator_matrices,
@@ -357,6 +359,13 @@ class TestFlagGroup:
             # a U(F) condition only: m is still in P(F)
             assert in_flag_group(m, w, False)
             assert spectral._in_flag_group(m, w, False)
+
+    def test_flag_check_takes_no_inverse(self):
+        # the one C07 pass, shared with test_c07_unipotent_structure, runs
+        # flag_unipotency_check with CycloNum.inverse made to raise
+        _, checked, failed = c07_pass()
+        assert failed == ()
+        assert checked == 1137
 
 
 class TestSymbolicInverses:
@@ -765,6 +774,23 @@ class TestFixedVectors:
             assert any(not x.is_zero() for x in w)
             for m in generator_matrices(rep).values():
                 assert linalg.mat_vec(m, w) == w
+
+
+class TestAgreement:
+    def test_triple_agreement_small_exhaustive(self):
+        for d in (2, 3, 4):
+            units = coprime_units(d)
+            for strands in (2, 3, 4):
+                def tuples(i):
+                    if i == 0:
+                        yield ()
+                        return
+                    for rest in tuples(i - 1):
+                        for u in units:
+                            yield rest + (u,)
+                for k in tuples(strands):
+                    report = degeneracy_agreement(d, k)
+                    assert report["agree"], report
 
 
 class TestBurauConsistency:
