@@ -9,8 +9,8 @@ Exit codes: 0 success, 2 precondition/validation failure (argument errors
 included), 3 internal mathematical invariant failure (a bug; the JSON error
 carries a minimal reproducer).  Output is deterministic: keys are sorted and
 sweep rows are emitted in sorted job order.  Every handler but ``sweep``
-returns one dict, and ``run`` adds its ``command`` key.  A sweep has at most
-``MAX_SWEEP_ROWS`` rows.
+returns one dict, and ``run`` adds its ``command`` key.  A sweep is held to
+``MAX_N`` like every other command, and has at most ``MAX_SWEEP_ROWS`` rows.
 
 Usage sketch:
     braidrep verify --n 3 --word "A 1 3"
@@ -53,9 +53,8 @@ COMMON_FLAGS = ("out", "config")
 # Input budgets, checked as the input is read (d and the word length are
 # budgeted in cyclo.MAX_D and braid.MAX_WORD_LENGTH).  Symbolic matrices grow
 # fast with the strand count; a sweep has phi(d)^(n+1) rows per (d, n).
-MAX_N = 8              # n = strands - 1 for every command but sweep
-MAX_SWEEP_N = 5        # the largest n a sweep may request
-MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); --d 6 --n 5 (5833) takes ~27 s
+MAX_N = 8              # n = strands - 1, and a sweep's largest n
+MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); checked after MAX_D and MAX_N
 MAX_CONFIG_BYTES = 65536  # a --config file; read no further than this
 
 
@@ -268,9 +267,7 @@ def _cmd_sweep(config: JobConfig) -> str:
     if d_max > MAX_D:
         raise ValidationError(
             f"sweep d={d_max} exceeds the budget MAX_D={MAX_D}")
-    if n_max > MAX_SWEEP_N:
-        raise ValidationError(
-            f"sweep n={n_max} exceeds the budget MAX_SWEEP_N={MAX_SWEEP_N}")
+    _check_n(n_max)
     if sweep_row_count(d_max, n_max) > MAX_SWEEP_ROWS:
         raise ValidationError(
             f"sweep --d {d_max} --n {n_max} has more rows than the budget "
@@ -316,7 +313,8 @@ def _read_config_file(path: str) -> dict:
             f"MAX_CONFIG_BYTES={MAX_CONFIG_BYTES}")
     try:
         # the lines of a text-mode read: \r\n and \r end a line as \n does
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+        lines = io.TextIOWrapper(io.BytesIO(data),
+                                 encoding="utf-8-sig").readlines()
     except UnicodeDecodeError:
         raise ValidationError(f"--config '{path}' is not UTF-8 text")
     for raw in lines:

@@ -137,30 +137,52 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _orbit_key(spec):
+    """(d, n, the least sorted u*k mod d over the units u): the rows of one
+    orbit under permuting the weights and scaling them by a unit mod d."""
+    d, k = spec["d"], spec["k"]
+    return d, spec["n"], min(tuple(sorted(u * x % d for x in k))
+                             for u in _units(d))
+
+
+def _checked_sweep(command, size, digest):
+    """The rows of a sweep through cli.run and the seconds it took, after
+    pinning its bytes, every match flag and that each field but `spec` is
+    constant on every orbit; also returns the number of orbits."""
+    start = time.monotonic()
+    code, text = _run_cli(command)
+    elapsed = time.monotonic() - start
+    assert code == 0, text
+    assert len(text.encode()) == size
+    assert _sha256(text) == digest
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert all(row["reducibility_match"] for row in rows)
+    assert all(row["genus_match"] for row in rows)
+    orbits = {}
+    for row in rows:
+        fields = {key: v for key, v in row.items() if key != "spec"}
+        assert orbits.setdefault(_orbit_key(row["spec"]), fields) == fields, \
+            row["spec"]
+    return rows, elapsed, len(orbits)
+
+
 def test_c06_degeneracy_triple_agreement():
     # the exhaustive corpus d <= 6, n <= 5, every coprime k, as the CLI
     # prints it: its bytes pin span_dim, fixed_space_dim and the genus of
     # every row, and each row carries the three-way degeneracy agreement
-    start = time.monotonic()
-    code, text = _run_cli("sweep --d 6 --n 5")
-    elapsed = time.monotonic() - start
-    assert code == 0, text
-    assert len(text.encode()) == 945810
-    assert _sha256(text) == \
-        "27f9c9dbd3848ccf5b75252691c0bdd08ac4e80990d46a8bafec3e05f75ff383"
-    rows = [json.loads(line) for line in text.splitlines()]
+    rows, elapsed, orbits = _checked_sweep(
+        "sweep --d 6 --n 5", 945810,
+        "27f9c9dbd3848ccf5b75252691c0bdd08ac4e80990d46a8bafec3e05f75ff383")
     degenerate = sum(row["degenerate"] for row in rows)
-    assert (len(rows), degenerate) == (5833, 1209)
-    assert all(row["reducibility_match"] for row in rows)
-    assert all(row["genus_match"] for row in rows)
+    assert (len(rows), degenerate, orbits) == (5833, 1209, 101)
     hit = [row for row in rows
            if row["spec"] == {"n": 3, "d": 6, "k": [1, 5, 5, 1]}]
     assert len(hit) == 1 and hit[0]["degenerate"] is True
     _announce(6, elapsed < 300.0,
               f"is_degenerate = fixed-vector = span-deficiency on "
-              f"{len(rows)} specs, {degenerate} degenerate (sweep --d 6 "
-              f"--n 5, byte-identical; {elapsed:.0f}s < 300s; span leg "
-              "applies for n >= 2)")
+              f"{len(rows)} specs, {degenerate} degenerate, constant on "
+              f"{orbits} orbits (sweep --d 6 --n 5, byte-identical; "
+              f"{elapsed:.0f}s < 300s; span leg applies for n >= 2)")
 
 
 def test_c07_unipotent_structure():
@@ -277,3 +299,22 @@ def test_c12_determinism():
     _announce(12, True,
               f"{len(DETERMINISM_TABLE)} commands match their pinned sha256, "
               f"cold and warm ({size // 2} bytes a run)")
+
+
+def test_c13_theorem_regime_sweep():
+    # the exhaustive corpus d <= 4, n <= 8, the largest the row budget
+    # admits at n = 8: it reaches the regime n >= 2d (weights coprime to d)
+    # where the paper proves arithmeticity, for d = 2, 3 and 4.  The gate
+    # keeps C06's headroom: 300 s over C06's ~24 s is 12.5x, and this
+    # sweep takes 16.5-23 s on a 2-core host.
+    rows, elapsed, orbits = _checked_sweep(
+        "sweep --d 4 --n 8", 340763,
+        "1b7b50b26860d420303b65030f59adcd14391ad545ca8c9532dd2a20f99ba37e")
+    degenerate = sum(row["degenerate"] for row in rows)
+    regime = sum(row["spec"]["n"] >= 2 * row["spec"]["d"] for row in rows)
+    assert (len(rows), degenerate, regime, orbits) == (2048, 514, 1413, 64)
+    _announce(13, elapsed < 220.0,
+              f"is_degenerate = fixed-vector = span-deficiency on "
+              f"{len(rows)} specs, {regime} with n >= 2d, {degenerate} "
+              f"degenerate, constant on {orbits} orbits (sweep --d 4 --n 8, "
+              f"byte-identical; {elapsed:.0f}s < 220s)")

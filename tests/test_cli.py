@@ -25,7 +25,6 @@ from braidrep.cli import (
     COMMANDS,
     MAX_CONFIG_BYTES,
     MAX_N,
-    MAX_SWEEP_N,
     MAX_SWEEP_ROWS,
     build_parser,
     config_from_args,
@@ -420,25 +419,32 @@ class TestBudgets:
         assert code == 0
 
     def test_large_sweep_n(self, capsys):
-        self._rejected(["sweep", "--d", "2", "--n", str(MAX_SWEEP_N + 1)],
-                       capsys, "MAX_SWEEP_N")
-        self._rejected(["sweep", "--d", "2", "--n", "30"], capsys,
-                       "MAX_SWEEP_N")
-        code, text = run_cli(["sweep", "--d", "2", "--n", str(MAX_SWEEP_N)])
+        # a sweep's n is held to MAX_N by the validator every command uses;
+        # the first is also over the row budget, so it fails fast without it
+        for argv in (["sweep", "--d", "3", "--n", "30"],
+                     ["sweep", "--d", "4", "--n", str(MAX_N + 1)],
+                     ["sweep", "--d", "2", "--n", "30"]):
+            start = time.perf_counter()
+            self._rejected(argv, capsys, "MAX_N")
+            assert time.perf_counter() - start < 1.0, argv
+        code, text = run_cli(["sweep", "--d", "2", "--n", str(MAX_N)])
         assert code == 0
-        assert len(text.splitlines()) == MAX_SWEEP_N
+        assert len(text.splitlines()) == MAX_N
 
     def test_sweep_rows(self, capsys):
         # 1 239 805 rows, then far more: each is refused at the count
         for argv in (["sweep", "--d", "11", "--n", "5"],
                      ["sweep", "--d", "128", "--n", "1"],
-                     ["sweep", "--d", str(MAX_D), "--n", str(MAX_SWEEP_N)]):
+                     ["sweep", "--d", str(MAX_D), "--n", str(MAX_N)]):
             start = time.perf_counter()
             self._rejected(argv, capsys, "MAX_SWEEP_ROWS")
             assert time.perf_counter() - start < 1.0, argv
-        # d is checked before any order is counted
+        # d is checked before any order is counted, and n before the rows
         self._rejected(["sweep", "--d", "1000003", "--n", "1"], capsys,
                        "MAX_D")
+        assert main(["sweep", "--d", "11", "--n", str(MAX_N + 1)]) == 2
+        error = check_doc(capsys.readouterr().err)["error"]
+        assert "MAX_N" in error and "MAX_SWEEP_ROWS" not in error
 
     def test_config_file_size(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
@@ -462,9 +468,12 @@ class TestBudgets:
         assert sweep_row_count(6, 5) == 5833
         assert sweep_row_count(4, 3) == 59
         assert 5833 <= MAX_SWEEP_ROWS
+        # from n = 6 on, the sweeps the row budget admits stop at d = 4
         for d in range(0, 8):
-            for n in range(0, 4):
+            for n in range(0, 4 if d > 4 else MAX_N + 1):
                 assert sweep_row_count(d, n) == len(list(sweep_jobs(d, n)))
+        assert sweep_row_count(4, MAX_N) == 2048
+        assert sweep_row_count(5, 6) > MAX_SWEEP_ROWS
         code, text = run_cli(["sweep", "--d", "4", "--n", "3"])
         assert code == 0 and len(text.splitlines()) == 59
 
@@ -542,8 +551,7 @@ class TestReadmeTables:
             seen[name] = int(limit)
             assert getattr(modules[module], name) == int(limit), name
         assert set(seen) == {"MAX_D", "MAX_N", "MAX_WORD_LENGTH",
-                             "MAX_SWEEP_N", "MAX_SWEEP_ROWS",
-                             "MAX_CONFIG_BYTES"}
+                             "MAX_SWEEP_ROWS", "MAX_CONFIG_BYTES"}
 
     def test_flags(self, capsys):
         reads = {}
@@ -565,6 +573,17 @@ class TestConfigFile:
         code, text = run_cli(["dm", "--config", str(cfg)])
         assert code == 0
         assert json.loads(text)["mu_inf"] == "4/9"
+
+    def test_byte_order_mark(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark is not part of the first key
+        body = b"d=18\nk=1,1,1,1\nf=7\n"
+        outputs = []
+        for content in (body, b"\xef\xbb\xbf" + body):
+            cfg = tmp_path / "job.cfg"
+            cfg.write_bytes(content)
+            assert main(["dm", "--config", str(cfg)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_flags_win(self, tmp_path):
         cfg = tmp_path / "job.cfg"
