@@ -54,7 +54,8 @@ COMMON_FLAGS = ("out", "config")
 # budgeted in cyclo.MAX_D and braid.MAX_WORD_LENGTH).  Symbolic matrices grow
 # fast with the strand count; a sweep has phi(d)^(n+1) rows per (d, n).
 MAX_N = 8              # n = strands - 1, and a sweep's largest n
-MAX_SWEEP_ROWS = 6000  # sum of phi(d)^(n+1); checked after MAX_D and MAX_N
+MAX_SWEEP_ROWS = 6000  # checked after MAX_D and MAX_N; a sweep lists at
+                       # most MAX_SWEEP_ROWS + 1 jobs before it is refused
 MAX_CONFIG_BYTES = 65536  # a --config file; read no further than this
 
 
@@ -249,18 +250,6 @@ def sweep_row(d: int, n: int, k: tuple) -> dict:
     }
 
 
-def sweep_row_count(d_max: int, n_max: int) -> int:
-    """len(sweep_jobs(d_max, n_max)), the sum of phi(d)^(n+1) over the cells;
-    the count stops at the first d that takes it past MAX_SWEEP_ROWS."""
-    rows = 0
-    for d in range(2, d_max + 1):
-        phi = len(units(d))
-        rows += sum(phi ** (n + 1) for n in range(1, n_max + 1))
-        if rows > MAX_SWEEP_ROWS:
-            break
-    return rows
-
-
 def _cmd_sweep(config: JobConfig) -> str:
     _require(config, ("d", "n"))
     d_max, n_max = config.d, config.n
@@ -268,12 +257,12 @@ def _cmd_sweep(config: JobConfig) -> str:
         raise ValidationError(
             f"sweep d={d_max} exceeds the budget MAX_D={MAX_D}")
     _check_n(n_max)
-    if sweep_row_count(d_max, n_max) > MAX_SWEEP_ROWS:
+    jobs = list(itertools.islice(sweep_jobs(d_max, n_max), MAX_SWEEP_ROWS + 1))
+    if len(jobs) > MAX_SWEEP_ROWS:
         raise ValidationError(
             f"sweep --d {d_max} --n {n_max} has more rows than the budget "
             f"MAX_SWEEP_ROWS={MAX_SWEEP_ROWS}")
-    return "".join(_dump_line(sweep_row(d, n, k))
-                   for d, n, k in sweep_jobs(d_max, n_max))
+    return "".join(_dump_line(sweep_row(*job)) for job in jobs)
 
 
 def run(config: JobConfig):

@@ -17,9 +17,12 @@ denominator is an ordinary polynomial (minimal exponent 0 in every variable),
 not divisible by any variable, with positive leading coefficient under the
 lexicographic monomial order; num and den have no common factor.  The
 constructor reduces to that form, so ``+`` and ``*`` build the unreduced
-num/den and pass it to the constructor.  Its operators also take an ``int``
-or a ``LaurentPoly``, but ``==`` is closed like the other scalar types:
-any operand that is not a ``RationalFunction`` compares unequal.
+num/den and pass it to the constructor.  Its arithmetic is closed the same
+way: ``+``, ``-``, ``*`` and ``/`` take only a ``RationalFunction`` (an
+``int`` or a ``LaurentPoly`` raises a ``TypeError`` naming the operator),
+and any other operand compares unequal.  A constant is written as
+``RationalFunction.constant(nvars, c)``, a polynomial as
+``RationalFunction.from_poly(p)``.
 
 The multivariate gcd used for reduction is the classical primitive-PRS
 (content / primitive part) algorithm over Z, adequate at the small sizes this
@@ -477,7 +480,8 @@ class RationalFunction:
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other, self.nvars)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
@@ -487,13 +491,13 @@ class RationalFunction:
         return RationalFunction._raw(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.nvars))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other):
-        other = _coerce(other, self.nvars)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -504,11 +508,9 @@ class RationalFunction:
         return RationalFunction._raw(self.den, self.num)
 
     def __truediv__(self, other):
-        other = _coerce(other, self.nvars)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other, self.nvars) * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -548,16 +550,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction('{self}')"
-
-
-def _coerce(x, nvars: int) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RationalFunction.from_poly(x)
-    if isinstance(x, int):
-        return RationalFunction.constant(nvars, x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunction")
 
 
 def _div_unit_exact(a: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -127,9 +127,11 @@ def basis_change_e_to_eps(strands: int) -> tuple:
     the top-left n x n block.
     """
     m = strands
+    one = RationalFunction.constant(m, 1)
     zero = RationalFunction.constant(m, 0)
     cols = []
-    inv = [1 / (1 - RationalFunction.variable(m, i)) for i in range(1, m + 1)]
+    inv = [one / (one - RationalFunction.variable(m, i))
+           for i in range(1, m + 1)]
     for i in range(1, m):
         col = [zero] * m
         col[i - 1] = inv[i - 1]

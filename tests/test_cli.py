@@ -31,10 +31,9 @@ from braidrep.cli import (
     main,
     run,
     sweep_jobs,
-    sweep_row_count,
 )
 from braidrep.braid import MAX_WORD_LENGTH
-from braidrep.cyclo import MAX_D
+from braidrep.cyclo import MAX_D, units
 from braidrep.errors import ValidationError
 from oracles import DETERMINISM_TABLE, start_cold
 
@@ -463,17 +462,32 @@ class TestBudgets:
         self._rejected(["form", "--n", "2", "--config", "/dev/zero"], capsys,
                        "MAX_CONFIG_BYTES")
 
-    def test_sweep_row_count(self):
+    def test_sweep_job_count(self):
+        def rows(d_max, n_max):
+            return sum(1 for _ in sweep_jobs(d_max, n_max))
+
         # the largest sweep of the former default --cap 6, and the golden one
-        assert sweep_row_count(6, 5) == 5833
-        assert sweep_row_count(4, 3) == 59
+        assert rows(6, 5) == 5833
+        assert rows(4, 3) == 59
         assert 5833 <= MAX_SWEEP_ROWS
-        # from n = 6 on, the sweeps the row budget admits stop at d = 4
+        # a sweep lists phi(d)^(n+1) jobs per (d, n)
         for d in range(0, 8):
             for n in range(0, 4 if d > 4 else MAX_N + 1):
-                assert sweep_row_count(d, n) == len(list(sweep_jobs(d, n)))
-        assert sweep_row_count(4, MAX_N) == 2048
-        assert sweep_row_count(5, 6) > MAX_SWEEP_ROWS
+                assert rows(d, n) == sum(len(units(e)) ** (m + 1)
+                                         for e in range(2, d + 1)
+                                         for m in range(1, n + 1))
+        # from n = 6 on, the sweeps the row budget admits stop at d = 4
+        assert rows(4, MAX_N) == 2048
+        assert rows(5, 6) > MAX_SWEEP_ROWS
+        code, text = run_cli(["sweep", "--d", "4", "--n", "3"])
+        assert code == 0 and len(text.splitlines()) == 59
+
+    def test_sweep_row_budget_is_exact(self, monkeypatch, capsys):
+        # sweep --d 4 --n 3 has 59 rows: a budget of 58 refuses it, 59 runs it
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 58)
+        self._rejected(["sweep", "--d", "4", "--n", "3"], capsys,
+                       "MAX_SWEEP_ROWS=58")
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 59)
         code, text = run_cli(["sweep", "--d", "4", "--n", "3"])
         assert code == 0 and len(text.splitlines()) == 59
 

@@ -367,7 +367,8 @@ class TestSpecialization:
         assert abs(v.embed(1) - (1 - w * w) / (1 - w) ** 2) < 1e-12
 
     def test_fraction_refused(self):
-        r = 1 / (1 - RationalFunction.variable(2, 1))
+        one = RationalFunction.constant(2, 1)
+        r = one / (one - RationalFunction.variable(2, 1))
         with pytest.raises(TypeError, match="RationalFunction"):
             specialize_poly(r, 3, (1, 1))
         with pytest.raises(TypeError, match="RationalFunction"):

@@ -290,8 +290,9 @@ class TestInvariantVectors:
     def test_unreduced_coordinates(self):
         v, w = invariant_vectors(3)
         X1, X2 = RF(3, 1), RF(3, 2)
-        assert v == (RationalFunction.constant(3, 1), X1, X1 * X2)
-        assert w == (1 - X1, 1 - X1 * X2)
+        one = RationalFunction.constant(3, 1)
+        assert v == (one, X1, X1 * X2)
+        assert w == (one - X1, one - X1 * X2)
 
     def test_v_fixed_by_pure_generators(self):
         for strands in (2, 3, 4):

@@ -61,14 +61,14 @@ def _eigen_signatures(d, k, fs):
 class TestFormMatrix:
     def test_n1(self):
         h = form_matrix(2)
-        x1, x2 = RF(2, 1), RF(2, 2)
-        assert h[0][0] == (1 - x1 * x2) / ((1 - x1) * (1 - x2))
+        x1, x2, one = RF(2, 1), RF(2, 2), RationalFunction.constant(2, 1)
+        assert h[0][0] == (one - x1 * x2) / ((one - x1) * (one - x2))
 
     def test_n2_superdiagonal(self):
         h = form_matrix(3)
-        x2 = RF(3, 2)
-        assert h[0][1] == -1 / (1 - x2)
-        assert h[1][0] == -x2 / (1 - x2)
+        x2, one = RF(3, 2), RationalFunction.constant(3, 1)
+        assert h[0][1] == -one / (one - x2)
+        assert h[1][0] == -x2 / (one - x2)
 
     def test_tridiagonal(self):
         for strands in range(3, 10):
@@ -130,12 +130,13 @@ class TestDeterminant:
     def test_closed_form_small(self):
         # the function itself asserts the closed form; spot-check n=1, n=2
         d1 = form_determinant(2)
-        x1, x2 = RF(2, 1), RF(2, 2)
-        assert d1 == (1 - x1 * x2) / ((1 - x1) * (1 - x2))
+        x1, x2, one = RF(2, 1), RF(2, 2), RationalFunction.constant(2, 1)
+        assert d1 == (one - x1 * x2) / ((one - x1) * (one - x2))
         d2 = form_determinant(3)
         y = [RF(3, i) for i in (1, 2, 3)]
-        assert d2 == (1 - y[0] * y[1] * y[2]) / \
-            ((1 - y[0]) * (1 - y[1]) * (1 - y[2]))
+        one = RationalFunction.constant(3, 1)
+        assert d2 == (one - y[0] * y[1] * y[2]) / \
+            ((one - y[0]) * (one - y[1]) * (one - y[2]))
 
     def test_up_to_n6(self):
         for strands in range(2, 8):

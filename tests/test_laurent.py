@@ -18,6 +18,10 @@ def Xr(nvars, i):
     return RationalFunction.variable(nvars, i)
 
 
+def Cr(nvars, c):
+    return RationalFunction.constant(nvars, c)
+
+
 def one(nvars):
     return LaurentPoly.one(nvars)
 
@@ -76,7 +80,8 @@ def random_poly(rng, nvars, max_terms=3, max_exp=2, max_coeff=4):
 
 
 class TestOperandRule:
-    """+, - and * take only a LaurentPoly with the same variable count."""
+    """+, - and * take only a LaurentPoly with the same variable count, and
+    a RationalFunction's +, -, * and / take only a RationalFunction."""
 
     def test_int_operand_raises_type_error(self):
         x = X(2, 1)
@@ -93,11 +98,12 @@ class TestOperandRule:
         assert (1 == one(2)) is False
 
     def test_type_error_names_the_operator(self):
-        # - refuses a foreign operand itself, before it negates it
-        x = X(2, 1)
+        # - refuses a foreign operand itself, before it negates it; a
+        # fraction takes neither an int nor a polynomial, on either side
+        x, r = X(2, 1), Xr(2, 1)
         for op, sign in ((operator.add, "+"), (operator.sub, "-"),
-                         (operator.mul, "*")):
-            for a, b in ((x, 2), (2, x)):
+                         (operator.mul, "*"), (operator.truediv, "/")):
+            for a, b in ((x, 2), (2, x), (r, 2), (2, r), (r, x), (x, r)):
                 with pytest.raises(TypeError, match=re.escape(
                         f"operand type(s) for {sign}: ")):
                     op(a, b)
@@ -200,9 +206,9 @@ class TestGcd:
 
 class TestRationalFunction:
     def test_reduction(self):
-        x1 = Xr(2, 1)
-        r = (1 - x1 * x1) / (1 - x1)
-        assert r == 1 + x1
+        x1, o = Xr(2, 1), Cr(2, 1)
+        r = (o - x1 * x1) / (o - x1)
+        assert r == o + x1
 
     def test_equality_is_closed(self):
         # a fraction equals only a fraction, from either side
@@ -237,20 +243,20 @@ class TestRationalFunction:
 
     def test_involution_example(self):
         # (1-X1X2)/((1-X1)(1-X2)) goes to its own negative
-        x1, x2 = Xr(2, 1), Xr(2, 2)
-        h = (1 - x1 * x2) / ((1 - x1) * (1 - x2))
+        x1, x2, o = Xr(2, 1), Xr(2, 2), Cr(2, 1)
+        h = (o - x1 * x2) / ((o - x1) * (o - x2))
         assert h.involute() == -h
 
     def test_canonical_equality(self):
-        x1 = Xr(1, 1)
-        a = (x1 - 1) / (x1 * x1 - x1)
-        b = 1 / x1
+        x1, o = Xr(1, 1), Cr(1, 1)
+        a = (x1 - o) / (x1 * x1 - x1)
+        b = o / x1
         assert a == b
         assert hash(a) == hash(b)
 
     def test_denominator_normalization(self):
-        x1 = Xr(1, 1)
-        r = 1 / (-(1 - x1))
+        x1, o = Xr(1, 1), Cr(1, 1)
+        r = o / (-(o - x1))
         assert r.den.leading()[1] > 0
         assert r.den.min_exponents() == (0,)
 
@@ -288,17 +294,17 @@ class TestRationalFunction:
             assert a.involute().involute() == a
 
     def test_collapse_to_single_var(self):
-        x1, x2 = Xr(2, 1), Xr(2, 2)
-        r = (1 - x1 * x2) / (1 - x2)
+        x1, x2, o = Xr(2, 1), Xr(2, 2), Cr(2, 1)
+        r = (o - x1 * x2) / (o - x2)
         q = collapse(r)
-        t = Xr(1, 1)
-        assert q == (1 - t * t) / (1 - t)
-        assert q == 1 + t
+        t, o1 = Xr(1, 1), Cr(1, 1)
+        assert q == (o1 - t * t) / (o1 - t)
+        assert q == o1 + t
 
     def test_str_canonical(self):
-        x1, x2 = Xr(2, 1), Xr(2, 2)
-        h = -1 / (1 - x2)
+        x1, x2, o = Xr(2, 1), Xr(2, 2), Cr(2, 1)
+        h = Cr(2, -1) / (o - x2)
         assert str(h) == "(1)/(-1 + X2)"
         # the rendering is canonical: equal values give identical bytes
-        assert str(h) == str(1 / (x2 - 1))
+        assert str(h) == str(o / (x2 - o))
         assert str(x1 / x1) == "1"

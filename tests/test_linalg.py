@@ -39,11 +39,15 @@ def _cyclo_entry(rng, d):
 def _rational_entry(rng, nvars=2):
     if rng.random() < 0.3:
         return RationalFunction.constant(nvars, 0)
+    def c(value):
+        return RationalFunction.constant(nvars, value)
+
     x = RationalFunction.variable(nvars, 1)
     y = RationalFunction.variable(nvars, 2, -1)
-    num = rng.randint(-2, 2) + rng.randint(-1, 1) * x + rng.randint(-1, 1) * y
+    num = (c(rng.randint(-2, 2)) + c(rng.randint(-1, 1)) * x
+           + c(rng.randint(-1, 1)) * y)
     if rng.random() < 0.4:
-        den = RationalFunction.constant(nvars, 1) - x * rng.choice((1, -1))
+        den = c(1) - x * c(rng.choice((1, -1)))
         return num / den
     return num
 
